@@ -21,10 +21,14 @@ verify:
 test:
 	$(GO) test ./...
 
-# Just the fault-injection suites (they honor -short; this runs them long).
+# Just the fault-injection suites (they honor -short; this runs them long),
+# plus the progress-engine contention tests: computation workers and the
+# dedicated worker racing for the sweep (TestChaosProgressContention), the
+# idle-hook/idleMu ordering rule (TestIdleHook...), and blocking tasks that
+# stack up crosswise (TestBlock..., TestRecycleStress...).
 chaos:
-	$(GO) test -race -count=1 -run 'Chaos|TestFault|Test.*(Drop|Partition|Crash|Stall|Cancel)' \
-		./internal/netsim/ ./internal/mpi/ ./internal/hcmpi/ ./internal/distsched/
+	$(GO) test -race -count=1 -run 'Chaos|IdleHook|TestBlock|RecycleStress|TestFault|Test.*(Drop|Partition|Crash|Stall|Cancel)' \
+		./internal/netsim/ ./internal/mpi/ ./internal/hc/ ./internal/hcmpi/ ./internal/distsched/
 
 # Cross-transport conformance: the p2p/collectives/RMA/hcmpi/DDDF
 # corpora over both backends (netsim and the TCP loopback mesh), plus

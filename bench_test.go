@@ -137,6 +137,53 @@ func BenchmarkCommTaskRoundTrip(b *testing.B) {
 	})
 }
 
+// BenchmarkHCMPIPingPong is the benchmark suite's pingpong_8b loop (an
+// 8-byte Send and a Recv on one side, the echo on the other, one
+// computation worker per rank) with the two numbers that say who drove
+// the communication engine: sweeps per round trip, and the share of them
+// a computation worker drove instead of the dedicated worker.
+func BenchmarkHCMPIPingPong(b *testing.B) {
+	hcmpi.Run(2, 1, func(n *hcmpi.Node, ctx *hcmpi.Ctx) {
+		out, back := make([]byte, 8), make([]byte, 8)
+		if n.Rank() == 1 {
+			for i := 0; i < b.N; i++ {
+				n.Recv(ctx, back, 0, 1)
+				n.Send(ctx, back, 0, 2)
+			}
+			return
+		}
+		before := n.StatsSnapshot()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			n.Send(ctx, out, 1, 1)
+			n.Recv(ctx, back, 1, 2)
+		}
+		b.StopTimer()
+		after := n.StatsSnapshot()
+		polls := after.Polls - before.Polls
+		b.ReportMetric(float64(polls)/float64(b.N), "sweeps/op")
+		if polls > 0 {
+			b.ReportMetric(float64(after.ProgressStolen-before.ProgressStolen)/float64(polls), "stolen-share")
+		}
+	})
+}
+
+// BenchmarkWaitCompleted is the help-first wait's fast path: Wait on a
+// request that has already completed is one atomic load and allocates
+// nothing (no finish scope, no await registration).
+func BenchmarkWaitCompleted(b *testing.B) {
+	hcmpi.Run(1, 1, func(n *hcmpi.Node, ctx *hcmpi.Ctx) {
+		req := n.Isend(make([]byte, 8), 0, 0) // to self: completes on delivery
+		n.Wait(ctx, req)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			n.Wait(ctx, req)
+		}
+	})
+}
+
 func BenchmarkHCMPIBarrier2Ranks(b *testing.B) {
 	hcmpi.Run(2, 1, func(n *hcmpi.Node, ctx *hcmpi.Ctx) {
 		if n.Rank() == 0 {

@@ -123,6 +123,17 @@ func chaosProg(victim int, deadline time.Duration) func(n *hcmpi.Node, ctx *hcmp
 		// this unblocks only once the transport declares it failed.
 		n.Barrier(ctx)
 
+		// Leaving the barrier proves that some survivor's connection to the
+		// victim has reported the death, not that this one's has (the
+		// dissemination barrier never makes rank victim-1 receive from the
+		// victim), and until it does the local socket still accepts an
+		// eager send. A receive posted on the victim completes when this
+		// rank's own detector fires; from then on the first operation
+		// against the dead rank must fail.
+		if st := n.Recv(ctx, make([]byte, 1), victim, 9); st.Err != hcmpi.ErrRankFailed {
+			fmt.Fprintf(os.Stderr, "chaos: rank %d: receive from dead rank returned %v, want ErrRankFailed\n", me, st.Err)
+			os.Exit(4)
+		}
 		st := n.Wait(ctx, n.Isend([]byte{1}, victim, 9))
 		if st.Err != hcmpi.ErrRankFailed {
 			fmt.Fprintf(os.Stderr, "chaos: rank %d: send to dead rank returned %v, want ErrRankFailed\n", me, st.Err)

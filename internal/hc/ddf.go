@@ -65,17 +65,70 @@ func (c *Ctx) ReleaseTask(t Task) {
 // OR list: pending is a one-shot release token (paper Fig. 12): it starts
 // at 1 and whichever put CASes it to 0 schedules the task — exactly once,
 // even under concurrent puts to different DDFs on the list.
+//
+// A blocked registration (Ctx.Block) has no task to schedule: the
+// releasing put resumes the task that is blocked on worker task.ctx.w.
 type ddtReg struct {
 	or      bool
+	blocked bool
 	pending atomic.Int64
 	task    Task
 	rt      *Runtime
 }
 
+// register enters r into the await list ddfs (r.or selects the OR
+// model). It reports whether the list was satisfied during registration
+// with the release left to the caller; otherwise a put releases r, now or
+// later, exactly once.
+func (r *ddtReg) register(ddfs []*DDF) bool {
+	if r.or {
+		r.pending.Store(1)
+		for _, d := range ddfs {
+			d.mu.Lock()
+			if d.full.Load() {
+				d.mu.Unlock()
+				return r.pending.CompareAndSwap(1, 0)
+			}
+			d.waiters = append(d.waiters, r)
+			d.mu.Unlock()
+		}
+		return false
+	}
+	r.pending.Store(registrationBias + int64(len(ddfs)))
+	for _, d := range ddfs {
+		d.mu.Lock()
+		if d.full.Load() {
+			d.mu.Unlock()
+			r.pending.Add(-1) // bias keeps the count positive
+			continue
+		}
+		d.waiters = append(d.waiters, r)
+		d.mu.Unlock()
+	}
+	// Drop the bias; exactly one Add observes zero, so the release happens
+	// exactly once whether the last dependency was satisfied before,
+	// during, or after registration.
+	return r.pending.Add(-registrationBias) == 0
+}
+
+// released reports whether r's await list has been satisfied.
+func (r *ddtReg) released() bool { return r.pending.Load() == 0 }
+
 // fire schedules the released task: onto the releasing worker's deque
 // when the release happens inside the pool (the paper pushes freed tasks
 // "into the current worker's deque"), or via the inject queue otherwise.
+// A blocked registration resumes its task instead (see worker.block: the
+// task waits on its worker's unblock channel once it has handed its work
+// to a stand-in, and helps like an idle worker until then).
 func (r *ddtReg) fire(here Releaser) {
+	if r.blocked {
+		select {
+		case r.task.ctx.w.unblock <- struct{}{}:
+		default: // a token is already waiting; the task re-checks released
+		}
+		r.rt.Wake()
+		return
+	}
 	if here != nil {
 		here.ReleaseTask(r.task)
 		return
@@ -189,32 +242,7 @@ func (d *DDF) Full() bool { return d.full.Load() }
 // ALL the listed DDFs have been put (the await clause / DDF_LIST AND
 // model). With an empty list it degenerates to Async.
 func (c *Ctx) AsyncAwait(fn func(*Ctx), ddfs ...*DDF) {
-	if len(ddfs) == 0 {
-		c.Async(fn)
-		return
-	}
-	f := c.finish
-	if f != nil {
-		f.inc()
-	}
-	reg := &ddtReg{rt: c.w.rt, task: Task{fn: fn, finish: f}}
-	reg.pending.Store(registrationBias + int64(len(ddfs)))
-	for _, d := range ddfs {
-		d.mu.Lock()
-		if d.full.Load() {
-			d.mu.Unlock()
-			reg.pending.Add(-1) // bias keeps the count positive
-			continue
-		}
-		d.waiters = append(d.waiters, reg)
-		d.mu.Unlock()
-	}
-	// Drop the bias; exactly one Add observes zero, so the task is
-	// scheduled exactly once whether the last dependency was satisfied
-	// before, during, or after registration.
-	if reg.pending.Add(-registrationBias) == 0 {
-		reg.fire(c)
-	}
+	c.asyncAwait(false, fn, ddfs)
 }
 
 // AsyncAwaitAny spawns fn once ANY of the listed DDFs has been put (the
@@ -222,6 +250,10 @@ func (c *Ctx) AsyncAwait(fn func(*Ctx), ddfs ...*DDF) {
 // puts race; the one-shot token is checked-and-set atomically, as in the
 // paper's wrapper-with-token design.
 func (c *Ctx) AsyncAwaitAny(fn func(*Ctx), ddfs ...*DDF) {
+	c.asyncAwait(true, fn, ddfs)
+}
+
+func (c *Ctx) asyncAwait(or bool, fn func(*Ctx), ddfs []*DDF) {
 	if len(ddfs) == 0 {
 		c.Async(fn)
 		return
@@ -230,18 +262,35 @@ func (c *Ctx) AsyncAwaitAny(fn func(*Ctx), ddfs ...*DDF) {
 	if f != nil {
 		f.inc()
 	}
-	reg := &ddtReg{or: true, rt: c.w.rt, task: Task{fn: fn, finish: f}}
-	reg.pending.Store(1)
-	for _, d := range ddfs {
-		d.mu.Lock()
-		if d.full.Load() {
-			d.mu.Unlock()
-			if reg.pending.CompareAndSwap(1, 0) {
-				reg.fire(c)
-			}
-			return
-		}
-		d.waiters = append(d.waiters, reg)
-		d.mu.Unlock()
+	reg := &ddtReg{or: or, rt: c.w.rt, task: Task{fn: fn, finish: f}}
+	if reg.register(ddfs) {
+		reg.fire(c)
 	}
+}
+
+// Block blocks the calling task until all of ddfs (any: at least one of
+// them) have been put. It is the blocking counterpart of the await
+// clause, for waits on events from outside the node — HCMPI's Wait.
+//
+// The task is suspended, not the worker, and not under another task.
+// While nothing else is runnable the worker idles as in a finish join
+// (idle hook, spin, park), so a wait with no competing work costs no
+// goroutine switch. But a task the worker finds is never started on top
+// of the blocked one, as a join would: the blocked task's continuation
+// would then be buried until that task returns, and two ranks whose
+// blocking tasks stack up in different orders deadlock on each other.
+// The found task goes to a stand-in goroutine instead, which works in
+// this worker's place until the blocked task has resumed (standIn).
+func (c *Ctx) Block(any bool, ddfs ...*DDF) {
+	w := c.w
+	if w.unblock == nil {
+		w.unblock = make(chan struct{}, 1)
+	}
+	reg := &ddtReg{or: any, blocked: true, rt: w.rt}
+	reg.task.ctx.w = w
+	if len(ddfs) == 0 || reg.register(ddfs) {
+		return
+	}
+	w.block(reg)
+	w.beat()
 }

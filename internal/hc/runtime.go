@@ -68,6 +68,10 @@ type Runtime struct {
 	// AsyncBlocking spin up (deque + RNG + frame pool are worth keeping).
 	helpers *deque.Stack[worker]
 
+	// idleHook, when set, is what a pool worker does after a failed
+	// work-finding sweep and before it backs off (SetIdleProgress).
+	idleHook atomic.Pointer[IdleFunc]
+
 	wg sync.WaitGroup
 
 	// hpt, when non-nil, drives locality-aware spawning and stealing.
@@ -86,6 +90,8 @@ type Runtime struct {
 	tasksRun      *trace.Counter
 	tasksSpawned  *trace.Counter
 	parks         *trace.Counter
+	suspensions   *trace.Counter
+	unburied      *trace.Counter
 }
 
 type worker struct {
@@ -112,6 +118,18 @@ type worker struct {
 	// parkTimer bounds a helper context's park (see parkBounded);
 	// lazily created, then reused across parks.
 	parkTimer *time.Timer
+	// idleCtx is the context the idle hook runs under: this worker, no
+	// finish scope.
+	idleCtx Ctx
+	// unblock resumes the task suspended on this worker (Ctx.Block);
+	// lazily created, one token at most.
+	unblock chan struct{}
+	// beats is a stand-in's sign of life: it counts the blocked tasks that
+	// have resumed on this worker or, if it hosts a suspended task, on that
+	// task's stand-in, and so on up. below is the worker whose suspended
+	// task this one stands in for.
+	beats atomic.Uint32
+	below atomic.Pointer[worker]
 }
 
 // Ctx is the execution context handed to every task: which worker is
@@ -129,6 +147,11 @@ func (c *Ctx) NumWorkers() int { return len(c.w.rt.workers) }
 
 // Runtime returns the runtime executing this task.
 func (c *Ctx) Runtime() *Runtime { return c.w.rt }
+
+// TraceRing returns the executing worker's trace timeline (nil when
+// tracing is disabled), so runtime clients doing work on this worker's
+// behalf can account it to the right track.
+func (c *Ctx) TraceRing() *trace.Ring { return c.w.ring }
 
 // CurrentFinish exposes the enclosing finish scope (used by runtime
 // clients such as the HCMPI communication layer to attribute released
@@ -177,11 +200,14 @@ func newRuntime(n int, extraStealSources ...*deque.Deque[Task]) *Runtime {
 	rt.tasksRun = rt.metrics.Counter("hc_tasks_run")
 	rt.tasksSpawned = rt.metrics.Counter("hc_tasks_spawned")
 	rt.parks = rt.metrics.Counter("hc_parks")
+	rt.suspensions = rt.metrics.Counter("hc_suspensions")
+	rt.unburied = rt.metrics.Counter("hc_unburied")
 	rt.idleCond = sync.NewCond(&rt.idleMu)
 	for i := 0; i < n; i++ {
 		w := &worker{id: i, rt: rt, deque: deque.NewDeque[Task](),
 			rng:    rand.New(rand.NewSource(int64(i)*2654435761 + 1)),
 			frames: deque.NewFreeList[Task](frameListCap)}
+		w.idleCtx.w = w
 		rt.workers = append(rt.workers, w)
 		rt.stealSet = append(rt.stealSet, w.deque)
 	}
@@ -268,6 +294,38 @@ func (rt *Runtime) Wake() {
 	}
 }
 
+// IdleFunc is an idle-progress hook: work a pool worker may do on the
+// client's behalf when it has found nothing to run. ctx is bound to the
+// idle worker (tasks released through it land on that worker's deque).
+// It reports whether it made progress, i.e. whether a rescan for work is
+// worthwhile before backing off further.
+type IdleFunc func(ctx *Ctx) bool
+
+// SetIdleProgress installs (or, with nil, removes) the idle-progress
+// hook. HCMPI sets it so that idle computation workers drive the
+// communication engine; plain hc users leave it unset.
+//
+// Workers call the hook after a failed steal sweep in their loop, in a
+// finish join and in the pre-park spin — and never while holding idleMu:
+// the hook may release tasks, and releasing one calls Wake, which takes
+// idleMu when a worker is parked.
+func (rt *Runtime) SetIdleProgress(f IdleFunc) {
+	if f == nil {
+		rt.idleHook.Store(nil)
+		return
+	}
+	rt.idleHook.Store(&f)
+}
+
+// idleProgress runs the idle hook, if any, on w. The caller must not hold
+// idleMu.
+func (w *worker) idleProgress() bool {
+	if f := w.rt.idleHook.Load(); f != nil {
+		return (*f)(&w.idleCtx)
+	}
+	return false
+}
+
 // Frame-pool and idle-protocol tuning (DESIGN.md §11; README
 // "Performance tuning").
 const (
@@ -282,6 +340,12 @@ const (
 	// pool, so their parks are bounded and back off exponentially.
 	helperParkMin = 10 * time.Microsecond
 	helperParkMax = time.Millisecond
+	// buriedGrace is how long a released task stays behind a stand-in
+	// whose current task completes no wait of its own, before it resumes
+	// regardless (suspend). It only has to exceed an ordinary wait by a
+	// comfortable margin — a same-host reply takes microseconds, a loaded
+	// TCP round trip a millisecond or two; resuming early is always safe.
+	buriedGrace = 5 * time.Millisecond
 )
 
 // newTask builds a spawn frame from the worker's pool. Owner-only (the
@@ -428,25 +492,43 @@ func (w *worker) run(t *Task) {
 // the caller should re-scan immediately — either a task was found (and
 // run), or the wake ticket moved, meaning work was just published.
 func (w *worker) spin() bool {
+	t, rescan := w.spinFind(nil)
+	if t != nil {
+		w.run(t)
+		return true
+	}
+	return rescan
+}
+
+// spinFind is spin without running the task it finds. A non-nil over
+// ends it early: what a blocked task waits for is not a task on a deque,
+// so no sweep would find it.
+func (w *worker) spinFind(over func() bool) (t *Task, rescan bool) {
 	rt := w.rt
 	seq := rt.wakeSeq.Load()
 	for i := 0; i < spinSweeps; i++ {
 		runtime.Gosched()
+		if over != nil && over() {
+			return nil, true
+		}
 		if t, ok := w.next(); ok {
-			w.run(t)
-			return true
+			return t, true
 		}
 		if rt.done.Load() {
-			return false // fall through to loop's park path, which re-checks done
+			return nil, false // fall through to the caller's park path, which re-checks done
+		}
+		if w.idleProgress() {
+			return nil, true
 		}
 	}
-	return rt.wakeSeq.Load() != seq
+	return nil, rt.wakeSeq.Load() != seq
 }
 
 func (w *worker) loop() {
 	defer w.rt.wg.Done()
 	rt := w.rt
 	for {
+		seq := rt.wakeSeq.Load()
 		if t, ok := w.next(); ok {
 			w.run(t)
 			continue
@@ -454,13 +536,21 @@ func (w *worker) loop() {
 		if rt.done.Load() {
 			return
 		}
-		if w.spin() {
+		if w.idleProgress() || w.spin() {
 			continue
 		}
-		// Park: announce sleeping, re-scan once to close the missed
-		// wakeup window, then wait.
+		// Park: announce sleeping, then close the missed-wakeup window —
+		// a wake ticket drawn since the scan began means something was
+		// published that the scan (or the idle hook, whose sources are
+		// not deques) may not have seen; re-scan the deques once, then
+		// wait.
 		rt.idleMu.Lock()
 		rt.sleepers.Add(1)
+		if rt.wakeSeq.Load() != seq {
+			rt.sleepers.Add(-1)
+			rt.idleMu.Unlock()
+			continue
+		}
 		if t, ok := w.next(); ok {
 			rt.sleepers.Add(-1)
 			rt.idleMu.Unlock()
@@ -597,15 +687,21 @@ func (c *Ctx) Finish(body func(*Ctx)) {
 func (w *worker) join(f *Finish) {
 	rt := w.rt
 	for f.count.Load() > 0 {
+		seq := rt.wakeSeq.Load()
 		if t, ok := w.next(); ok {
 			w.run(t)
 			continue
 		}
-		if w.spin() {
+		if w.idleProgress() || w.spin() {
 			continue
 		}
 		rt.idleMu.Lock()
 		rt.sleepers.Add(1)
+		if rt.wakeSeq.Load() != seq { // see loop
+			rt.sleepers.Add(-1)
+			rt.idleMu.Unlock()
+			continue
+		}
 		if f.count.Load() == 0 {
 			rt.sleepers.Add(-1)
 			rt.idleMu.Unlock()
@@ -621,6 +717,156 @@ func (w *worker) join(f *Finish) {
 		rt.idleCond.Wait()
 		rt.sleepers.Add(-1)
 		rt.idleMu.Unlock()
+	}
+}
+
+// idleFind is one round of the idle protocol for a worker that must not
+// run what it finds on its own stack: scan, idle hook, spin, park. It
+// returns the task it found, or nil when the caller should re-check
+// over() and come back. Whatever makes over() true must call Wake, or be
+// Shutdown: the park is skipped only on a new wake ticket.
+func (w *worker) idleFind(over func() bool) *Task {
+	rt := w.rt
+	seq := rt.wakeSeq.Load()
+	if t, ok := w.next(); ok {
+		return t
+	}
+	if w.idleProgress() {
+		return nil
+	}
+	if t, rescan := w.spinFind(over); t != nil || rescan {
+		return t
+	}
+	rt.idleMu.Lock()
+	rt.sleepers.Add(1)
+	if rt.wakeSeq.Load() == seq && !rt.done.Load() { // see loop
+		rt.parks.Inc()
+		rt.idleCond.Wait()
+	}
+	rt.sleepers.Add(-1)
+	rt.idleMu.Unlock()
+	return nil
+}
+
+// block waits until reg is released, on behalf of the task running on w
+// (Ctx.Block). It idles like join while the worker finds nothing else to
+// run; the first task it does find goes to a stand-in, and from then on
+// the blocked task only waits to be resumed.
+func (w *worker) block(reg *ddtReg) {
+	for !reg.released() {
+		if t := w.idleFind(reg.released); t != nil {
+			w.suspend(reg, t)
+			return
+		}
+	}
+}
+
+// suspension pairs a task suspended in Ctx.Block with its stand-in: the
+// goroutine that works in the task's place, starting with the task the
+// blocked worker found.
+type suspension struct {
+	reg  *ddtReg
+	task *worker // the suspended task's worker; nobody acts as it meanwhile
+	sub  *worker // the stand-in's helper context
+	// busy is set while the stand-in is inside a task.
+	busy atomic.Bool
+}
+
+// suspend parks the blocked task's goroutine until reg is released, with
+// a stand-in working in its place meanwhile, t first. Thieves keep
+// stealing from w's deque; nobody pushes to it.
+//
+// Resumption keeps the order a help-first join would: the stand-in's
+// current task was started later, so it goes first, and the released task
+// resumes when the stand-in is next between tasks. That is depth-first
+// scheduling — it keeps the number of tasks in progress, and with it the
+// latency of each one's messages, where a join kept it. What a join could
+// not do is give up on a top that is stuck: if no wait under the stand-in
+// has completed for buriedGrace, the released task resumes regardless,
+// and the crosswise wait of two ranks' stacks is broken.
+func (w *worker) suspend(reg *ddtReg, t *Task) {
+	rt := w.rt
+	if w.id >= len(rt.workers) {
+		w.flush() // a helper's deque is invisible to thieves
+	}
+	s := &suspension{reg: reg, task: w, sub: rt.getHelper(true)}
+	s.sub.below.Store(w)
+	s.busy.Store(true)
+	rt.suspensions.Inc()
+	rt.wg.Add(1)
+	go s.standIn(t)
+	for !reg.released() {
+		<-w.unblock // possibly a stale token from an earlier wait: re-check
+	}
+	if !s.busy.Load() {
+		return
+	}
+	beats := s.sub.beats.Load()
+	grace := time.NewTimer(buriedGrace)
+	defer grace.Stop()
+	for s.busy.Load() {
+		select {
+		case <-w.unblock:
+		case <-grace.C:
+			b := s.sub.beats.Load()
+			if b == beats {
+				rt.unburied.Inc()
+				return
+			}
+			beats = b
+			grace.Reset(buriedGrace)
+		}
+	}
+}
+
+// standIn is a worker for the length of a suspension: it runs first,
+// then whatever a pool worker would find, and idles like one (so it
+// drives the idle hook too). It retires at the first task boundary after
+// the suspended task's release. If that task has given up waiting for the
+// boundary, the node runs one task more than it has workers until then.
+//
+// A stand-in is a detached helper context: tasks spawned under it go to
+// the inject queue, and their Worker() id is outside [0, NumWorkers).
+func (s *suspension) standIn(first *Task) {
+	w, rt := s.sub, s.sub.rt
+	defer rt.wg.Done()
+	over := func() bool { return s.reg.released() || rt.done.Load() }
+	for t := first; ; {
+		w.run(t)
+		s.busy.Store(false)
+		for t = nil; t == nil && !over(); {
+			t = w.idleFind(over)
+		}
+		if t == nil {
+			break
+		}
+		s.busy.Store(true)
+	}
+	select {
+	case s.task.unblock <- struct{}{}:
+	default: // a token is already waiting
+	}
+	w.flush()
+	w.below.Store(nil)
+	rt.putHelper(w)
+}
+
+// beat records that a blocked task has resumed on w: for whoever waits
+// behind w's current task, and behind that one's, down the stand-ins.
+func (w *worker) beat() {
+	for ; w != nil; w = w.below.Load() {
+		w.beats.Add(1)
+	}
+}
+
+// flush makes the tasks on w's own deque visible to the whole pool.
+func (w *worker) flush() {
+	for {
+		t, ok := w.deque.Pop()
+		if !ok {
+			return
+		}
+		w.rt.submitFrame(t)
 	}
 }
 
@@ -641,6 +887,7 @@ func (rt *Runtime) getHelper(detached bool) *worker {
 			rng:    rand.New(rand.NewSource(helperIDs.Load()*40503 + 7)),
 			frames: deque.NewFreeList[Task](frameListCap),
 		}
+		hw.idleCtx.w = hw
 	}
 	hw.detached = detached
 	return hw
@@ -697,13 +944,7 @@ func (rt *Runtime) HelpUntil(pred func() bool) {
 	}
 	// Anything spawned by helped tasks and not yet executed becomes
 	// globally visible again.
-	for {
-		t, ok := hw.deque.Pop()
-		if !ok {
-			break
-		}
-		rt.submitFrame(t)
-	}
+	hw.flush()
 	rt.putHelper(hw)
 }
 

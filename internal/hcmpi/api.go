@@ -6,11 +6,12 @@ import (
 )
 
 // Point-to-point and collective API (paper Table I). Every call here runs
-// in a computation task; the operation itself is carried out by the
-// communication worker. Blocking variants are built from the non-blocking
-// ones exactly as the paper prescribes: HCMPI_Wait is
-// finish { async await(req) }, and HCMPI_Recv is an HCMPI_Irecv inside a
-// finish.
+// in a computation task; the operation itself is carried out by a sweep
+// of the progress engine. Blocking variants are built from the
+// non-blocking ones as the paper prescribes — HCMPI_Recv is an
+// HCMPI_Irecv followed by HCMPI_Wait, and HCMPI_Wait awaits the request's
+// DDF — but every wait is help-first, and blocks the task rather than
+// joining a finish { async await(req) }: see await.
 
 // Isend starts an asynchronous send (HCMPI_Isend). The buffer is handed
 // off immediately and may be reused by the caller.
@@ -48,37 +49,72 @@ func (n *Node) IrecvBytes(src, tag int) *Request {
 	return req
 }
 
-// Wait blocks the computation task until the request completes
-// (HCMPI_Wait). It is implemented as finish { async await(req) }; the
-// worker executes other tasks while logically blocked.
-func (n *Node) Wait(ctx *hc.Ctx, r *Request) *Status {
-	ctx.Finish(func(ctx *hc.Ctx) {
-		ctx.AsyncAwait(func(*hc.Ctx) {}, r.ddf)
-	})
-	st, err := r.GetStatus()
-	if err != nil {
-		panic("hcmpi: Wait finished but status missing: " + err.Error())
+// await is the help-first wait under every blocking call: it returns
+// once all of rs (or, with any set, one of them) have completed. If they
+// already have it costs one atomic load per request. Otherwise the task
+// drives the progress engine itself for waitHelpRounds sweeps — its own
+// operation is issued, polled and completed on this goroutine — and only
+// if the wait outlasts that budget does it block on the request DDFs
+// (hc.Ctx.Block): the worker keeps sweeping through the idle hook and
+// parks once the node has no visible work, and any task it finds
+// meanwhile runs on a stand-in goroutine, never on top of this one.
+//
+// No wait runs another task on its own stack. A task started from inside
+// a wait buries the waiter's continuation under it; if it blocks in turn
+// on a peer whose matching task is buried the same way, the two ranks
+// deadlock. (The paper's finish { async await } join had this hazard;
+// DESIGN.md §16.)
+func (n *Node) await(ctx *hc.Ctx, any bool, rs ...*Request) {
+	for sweeps, tries := 0, 0; sweeps < waitHelpRounds && tries < waitHelpTries; tries++ {
+		if completed(any, rs) {
+			return
+		}
+		if swept, _ := n.trySweep(ctx); swept {
+			sweeps++
+		}
 	}
-	return st
+	if completed(any, rs) {
+		return
+	}
+	if len(rs) == 1 {
+		ctx.Block(any, &rs[0].ddf)
+		return
+	}
+	ddfs := make([]*hc.DDF, len(rs))
+	for i, r := range rs {
+		ddfs[i] = &r.ddf
+	}
+	ctx.Block(any, ddfs...)
+}
+
+// completed reports whether all (any: at least one) of rs are complete.
+func completed(any bool, rs []*Request) bool {
+	for _, r := range rs {
+		if r.ddf.Full() == any {
+			return any
+		}
+	}
+	return !any
+}
+
+// status returns a completed request's status.
+func (r *Request) status() *Status { return r.ddf.MustGet().(*Status) }
+
+// Wait blocks the computation task until the request completes
+// (HCMPI_Wait); the worker drives communication progress and executes
+// other tasks while logically blocked.
+func (n *Node) Wait(ctx *hc.Ctx, r *Request) *Status {
+	n.await(ctx, false, r)
+	return r.status()
 }
 
 // WaitAll blocks until every request completes (HCMPI_Waitall): the
 // awaited DDF list is an AND expression.
 func (n *Node) WaitAll(ctx *hc.Ctx, rs ...*Request) []*Status {
-	ddfs := make([]*hc.DDF, len(rs))
-	for i, r := range rs {
-		ddfs[i] = r.ddf
-	}
-	ctx.Finish(func(ctx *hc.Ctx) {
-		ctx.AsyncAwait(func(*hc.Ctx) {}, ddfs...)
-	})
+	n.await(ctx, false, rs...)
 	sts := make([]*Status, len(rs))
 	for i, r := range rs {
-		st, err := r.GetStatus()
-		if err != nil {
-			panic("hcmpi: WaitAll finished but status missing")
-		}
-		sts[i] = st
+		sts[i] = r.status()
 	}
 	return sts
 }
@@ -90,13 +126,7 @@ func (n *Node) WaitAny(ctx *hc.Ctx, rs ...*Request) (int, *Status) {
 	if len(rs) == 0 {
 		return -1, nil
 	}
-	ddfs := make([]*hc.DDF, len(rs))
-	for i, r := range rs {
-		ddfs[i] = r.ddf
-	}
-	ctx.Finish(func(ctx *hc.Ctx) {
-		ctx.AsyncAwaitAny(func(*hc.Ctx) {}, ddfs...)
-	})
+	n.await(ctx, true, rs...)
 	for i, r := range rs {
 		if st, ok := r.Test(); ok {
 			return i, st
@@ -105,8 +135,8 @@ func (n *Node) WaitAny(ctx *hc.Ctx, rs ...*Request) (int, *Status) {
 	panic("hcmpi: WaitAny released with no completed request")
 }
 
-// Send is the blocking send (HCMPI_Send): a non-blocking send inside a
-// finish scope.
+// Send is the blocking send (HCMPI_Send): a non-blocking send and a
+// Wait.
 func (n *Node) Send(ctx *hc.Ctx, buf []byte, dest, tag int) *Status {
 	return n.Wait(ctx, n.Isend(buf, dest, tag))
 }
@@ -206,7 +236,7 @@ func (n *Node) SendReserved(buf []byte, dest, tag int) *Request {
 // --- Collectives (blocking, per paper §II-C) ---
 
 // collective enqueues a collective comm task and blocks the computation
-// task (finish/await) until the communication worker has completed it.
+// task (Wait) until the progress engine has completed it.
 func (n *Node) collective(ctx *hc.Ctx, t *commTask) *Status {
 	req := n.newRequest()
 	t.request = req

@@ -3,22 +3,25 @@
 //
 // Each MPI rank runs one Node: a pool of computation workers (package hc)
 // plus one dedicated communication worker. Computation tasks never call
-// MPI; every HCMPI call creates a communication task that flows through
-// the lifecycle of the paper's Fig. 11 —
+// MPI directly; every HCMPI call creates a communication task that flows
+// through the lifecycle of the paper's Fig. 11 —
 //
 //	ALLOCATED → PRESCRIBED → ACTIVE → COMPLETED → AVAILABLE
 //
-// — on a lock-free multi-producer worklist consumed by the communication
-// worker, with completed task structures recycled through a lock-free
-// free-list. An HCMPI request handle is a DDF (paper §III), so message
-// completion composes with every Habanero synchronization construct:
-// finish, the await clause, and phasers.
+// — on a lock-free multi-producer worklist, with completed task
+// structures recycled through a lock-free free-list. The worklist is
+// consumed by the progress engine (progress.go): one try-locked sweep
+// that the dedicated worker always drives and that an idle or waiting
+// computation worker may drive in its place, so exactly one goroutine at
+// a time is "the communication worker". An HCMPI request handle is a DDF
+// (paper §III), so message completion composes with every Habanero
+// synchronization construct: finish, the await clause, and phasers.
 package hcmpi
 
 import (
 	"errors"
 	"fmt"
-	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -180,19 +183,19 @@ func (s *Status) CountOf(dt mpi.Datatype) int {
 // so requests can appear anywhere a DDF can — most importantly in await
 // clauses of data-driven tasks.
 type Request struct {
-	ddf *hc.DDF
+	ddf hc.DDF
 }
 
 // DDF exposes the underlying data-driven future, for use in await
 // clauses.
-func (r *Request) DDF() *hc.DDF { return r.ddf }
+func (r *Request) DDF() *hc.DDF { return &r.ddf }
 
 // Test reports completion without blocking (HCMPI_Test).
 func (r *Request) Test() (*Status, bool) {
 	if !r.ddf.Full() {
 		return nil, false
 	}
-	return r.ddf.MustGet().(*Status), true
+	return r.status(), true
 }
 
 // GetStatus returns the completion status; it is a program error to call
@@ -209,10 +212,13 @@ func (r *Request) GetStatus() (*Status, error) {
 type Config struct {
 	// Workers is the number of computation workers (the paper's -nproc).
 	Workers int
-	// PollSleep caps the communication worker's idle sleep. After a spin
-	// and yield phase, an idle worker sleeps exponentially longer per
-	// empty sweep — 1µs, 2µs, 4µs, … — up to this value, and never past
-	// the earliest pending deadline or retry instant. Default 20µs.
+	// PollSleep caps the dedicated communication worker's idle sleep.
+	// After a spin and yield phase, an idle worker sleeps exponentially
+	// longer per empty sweep — 1µs, 2µs, 4µs, … — up to this value, and
+	// never past the earliest pending deadline or retry instant it saw on
+	// its last sweep. It bounds reaction time only while every computation
+	// worker is busy: idle and waiting computation workers drive the same
+	// sweep themselves, without sleeping. Default 20µs.
 	PollSleep time.Duration
 	// SendRetries is how many times the communication worker re-issues a
 	// send whose message the network reported dropped. Sends are
@@ -244,27 +250,39 @@ type Node struct {
 
 	worklist  *deque.MPSC[commTask]
 	freelist  *deque.Stack[commTask]
-	commDeque *deque.Deque[hc.Task] // continuations freed by the comm worker
+	commDeque *deque.Deque[hc.Task] // continuations freed by the dedicated worker
 	// collQueue feeds collectives, in dispatch order, to a single helper
-	// goroutine, and collDone carries the finished operations back to the
-	// communication worker's loop. Collectives execute on the helper so
-	// the worker keeps servicing listeners and point-to-point progress
-	// meanwhile; the paper's runtime blocks here instead, which is
-	// faithful for MPI-2-era semantics but would deadlock the DDDF
+	// goroutine (collKick rouses it), and collDone carries the finished
+	// operations back to the progress sweep. Collectives execute on the
+	// helper so the sweep keeps servicing listeners and point-to-point
+	// progress meanwhile; the paper's runtime blocks here instead, which
+	// is faithful for MPI-2-era semantics but would deadlock the DDDF
 	// termination protocol in this substrate (see DESIGN.md §2).
-	collQueue chan *commTask
+	collQueue *deque.MPSC[commTask]
+	collKick  chan struct{}
 	collDone  *deque.MPSC[collResult]
+	// collDecided counts the collectives whose outcome — completion or
+	// watchdog timeout — has been decided (see runCollective).
+	collDecided atomic.Uint64
 
+	// sweepMu is the progress try-lock: its holder is the communication
+	// worker for the length of one sweep. Nobody ever waits for it, and it
+	// guards everything down to ring (single-owner state of the sweep).
+	sweepMu   sync.Mutex
 	active    []*commTask
 	listeners []*listener
 	// pendingRetry holds dropped sends waiting out their backoff before
-	// the worker re-issues them.
-	pendingRetry []*commTask
+	// a sweep re-issues them.
+	pendingRetry  []*commTask
+	collsInFlight int
+	// driver is the computation worker driving the current sweep, nil
+	// when the dedicated worker does; ring is where the sweep's trace
+	// events go (the driver's timeline, else commRing).
+	driver *hc.Ctx
+	ring   *trace.Ring
 
-	stop          atomic.Bool
-	stopped       chan struct{}
-	shutdown      chan struct{}
-	collsInFlight atomic.Int64
+	stop    atomic.Bool
+	stopped chan struct{}
 
 	// Observability: opSeq issues comm-op ids for the trace timeline;
 	// commRing and phaserRing are nil when tracing is disabled. The
@@ -283,15 +301,16 @@ type statCounters struct {
 	recycled, allocated         *trace.Counter
 	polls, dispatched           *trace.Counter
 	retries, timeouts, failures *trace.Counter
+	stolen, contended           *trace.Counter
 }
 
-// collResult is a finished collective flowing back to the worker loop.
+// collResult is a finished collective flowing back to the progress sweep.
 type collResult struct {
 	t  *commTask
 	st *Status
 }
 
-// listener is a persistent receive the communication worker keeps posted
+// listener is a persistent receive the progress engine keeps posted
 // on behalf of the runtime (DDDF protocol) or application (UTS steal
 // handling).
 type listener struct {
@@ -320,6 +339,11 @@ type StatsSnapshot struct {
 	Retries  int64
 	Timeouts int64
 	Failures int64
+	// Progress stealing: sweeps driven by a computation worker instead of
+	// the dedicated one (they count in Polls too), and attempts to sweep
+	// that found another goroutine already sweeping.
+	ProgressStolen    int64
+	ProgressContended int64
 }
 
 // NewNode starts an HCMPI process over MPI rank c with cfg.Workers
@@ -343,14 +367,15 @@ func NewNode(c *mpi.Comm, cfg Config) *Node {
 		worklist:  deque.NewMPSC[commTask](),
 		freelist:  deque.NewStack[commTask](),
 		commDeque: deque.NewDeque[hc.Task](),
-		collQueue: make(chan *commTask, 64),
+		collQueue: deque.NewMPSC[commTask](),
+		collKick:  make(chan struct{}, 1),
 		collDone:  deque.NewMPSC[collResult](),
 		stopped:   make(chan struct{}),
-		shutdown:  make(chan struct{}),
 	}
 	n.rt = hc.NewTraced(cfg.Workers, cfg.Tracer, c.Rank(), n.commDeque)
 	n.tracer = cfg.Tracer
 	n.commRing = cfg.Tracer.Register(c.Rank(), cfg.Workers, "comm", trace.TrackComm)
+	n.ring = n.commRing
 	n.phaserRing = cfg.Tracer.Register(c.Rank(), cfg.Workers+1, "phasers", trace.TrackPhaser)
 	m := n.rt.Metrics()
 	n.stats = statCounters{
@@ -364,7 +389,10 @@ func NewNode(c *mpi.Comm, cfg Config) *Node {
 		retries:     m.Counter("comm_retries"),
 		timeouts:    m.Counter("comm_timeouts"),
 		failures:    m.Counter("comm_failures"),
+		stolen:      m.Counter("comm_progress_stolen"),
+		contended:   m.Counter("comm_progress_contended"),
 	}
+	n.rt.SetIdleProgress(n.idleSweep)
 	go n.commWorker()
 	go n.collectiveRunner()
 	return n
@@ -396,6 +424,9 @@ func (n *Node) StatsSnapshot() StatsSnapshot {
 		Retries:     n.stats.retries.Load(),
 		Timeouts:    n.stats.timeouts.Load(),
 		Failures:    n.stats.failures.Load(),
+
+		ProgressStolen:    n.stats.stolen.Load(),
+		ProgressContended: n.stats.contended.Load(),
 	}
 }
 
@@ -407,11 +438,13 @@ func (n *Node) Metrics() *trace.Metrics { return n.rt.Metrics() }
 // tracing is disabled).
 func (n *Node) Tracer() *trace.Tracer { return n.tracer }
 
-// traceState moves a task to state s and records the transition on the
-// communication-worker track.
-func (n *Node) traceState(t *commTask, s CommState) {
+// traceState moves a task to state s and records the transition on
+// ring: commRing for allocation and prescription (on whichever goroutine
+// makes the call), n.ring inside a sweep — the timeline of whoever
+// drives it.
+func (n *Node) traceState(ring *trace.Ring, t *commTask, s CommState) {
 	t.setState(s)
-	n.commRing.Emit(trace.EvCommState, t.id, int64(s))
+	ring.Emit(trace.EvCommState, t.id, int64(s))
 }
 
 // Main runs f as the node's root task and returns when f and everything
@@ -434,21 +467,26 @@ func (n *Node) Close() {
 	req.ddf.Await()
 
 	n.stop.Store(true)
-	close(n.shutdown)
 	<-n.stopped
-	close(n.collQueue)
 	n.rt.Shutdown()
 }
 
-// ReleaseTask implements hc.Releaser: continuations freed by the
-// communication worker go to its own deque, to be stolen by computation
-// workers (paper §III).
+// ReleaseTask implements hc.Releaser for puts made during a sweep (the
+// request completions of completeLocal, and listener callbacks such as
+// the DDDF data handler). Continuations freed by the dedicated worker go
+// to its own deque, to be stolen by computation workers (paper §III);
+// when a computation worker drives the sweep they land on that worker's
+// deque directly, sparing the steal.
 func (n *Node) ReleaseTask(t hc.Task) {
+	if n.driver != nil {
+		n.driver.ReleaseTask(t)
+		return
+	}
 	n.commDeque.Push(&t)
 	n.rt.Wake()
 }
 
-func (n *Node) newRequest() *Request { return &Request{ddf: hc.NewDDF()} }
+func (n *Node) newRequest() *Request { return &Request{} }
 
 // allocTask takes a task from the AVAILABLE pool or allocates one
 // (ALLOCATED state).
@@ -459,12 +497,12 @@ func (n *Node) allocTask() *commTask {
 		}
 		n.stats.recycled.Add(1)
 		t.id = n.opSeq.Add(1)
-		n.traceState(t, StateAllocated)
+		n.traceState(n.commRing, t, StateAllocated)
 		return t
 	}
 	n.stats.allocated.Add(1)
 	t := &commTask{id: n.opSeq.Add(1)}
-	n.traceState(t, StateAllocated)
+	n.traceState(n.commRing, t, StateAllocated)
 	return t
 }
 
@@ -473,7 +511,7 @@ func (n *Node) allocTask() *commTask {
 func (n *Node) prescribe(t *commTask) {
 	invariant.Assertf(t.State() == StateAllocated,
 		"hcmpi: prescribing a %v task (must come fresh from allocTask)", t.State())
-	n.traceState(t, StatePrescribed)
+	n.traceState(n.commRing, t, StatePrescribed)
 	n.worklist.Push(t)
 }
 
@@ -486,192 +524,8 @@ func (n *Node) retire(t *commTask) {
 		panic(fmt.Sprintf("hcmpi: retiring a %v task", s))
 	}
 	t.reset()
-	n.traceState(t, StateAvailable)
+	n.traceState(n.ring, t, StateAvailable)
 	n.freelist.Push(t)
-}
-
-// commWorker is the dedicated communication worker: it drains the
-// worklist, issues MPI operations, polls active requests with Test, and
-// publishes completions by putting HCMPI_Status objects into request
-// DDFs. It is the rank's progress engine: if it parks anywhere outside
-// its own adaptive idle sleep, MPI progress stops for every computation
-// worker, so the annotation below keeps the whole dispatch path honest.
-//
-//hclint:nonblocking
-func (n *Node) commWorker() {
-	defer close(n.stopped)
-	idle := 0
-	for {
-		progressed := false
-
-		// 1. Dispatch newly prescribed communication tasks.
-		for {
-			t, ok := n.worklist.Pop()
-			if !ok {
-				break
-			}
-			n.stats.dispatched.Add(1)
-			n.commRing.Emit(trace.EvCommBusyStart, t.id, int64(t.kind))
-			id := t.id // dispatch may complete and recycle t
-			n.dispatch(t)
-			n.commRing.Emit(trace.EvCommBusyEnd, id, 0)
-			progressed = true
-		}
-
-		// 2. Poll ACTIVE point-to-point operations (MPI_Test). Errored
-		// completions either schedule a retransmit (dropped idempotent
-		// sends) or surface through the request DDF; deadline overruns
-		// are failed with ErrTimeout so no awaiter blocks forever.
-		n.stats.polls.Add(1)
-		var now time.Time
-		live := n.active[:0]
-		for _, t := range n.active {
-			if st, ok := t.req.Test(); ok {
-				if n.shouldRetry(t, st) {
-					n.scheduleRetry(t)
-				} else {
-					n.commRing.Emit(trace.EvCommBusyStart, t.id, int64(t.kind))
-					id := t.id
-					n.finishP2P(t, st)
-					n.commRing.Emit(trace.EvCommBusyEnd, id, 0)
-				}
-				progressed = true
-				continue
-			}
-			if !t.deadline.IsZero() {
-				if now.IsZero() {
-					now = time.Now()
-				}
-				if now.After(t.deadline) {
-					n.timeoutTask(t)
-					progressed = true
-					continue
-				}
-			}
-			live = append(live, t)
-		}
-		n.active = live
-
-		// 2b. Re-issue dropped sends whose backoff has elapsed.
-		if len(n.pendingRetry) > 0 {
-			if now.IsZero() {
-				now = time.Now()
-			}
-			waiting := n.pendingRetry[:0]
-			for _, t := range n.pendingRetry {
-				switch {
-				case !t.deadline.IsZero() && now.After(t.deadline):
-					n.stats.timeouts.Add(1)
-					n.stats.failures.Add(1)
-					n.completeLocal(t, &Status{Err: mpi.ErrTimeout})
-					progressed = true
-				case !now.Before(t.retryAt):
-					n.reissueSend(t)
-					progressed = true
-				default:
-					waiting = append(waiting, t)
-				}
-			}
-			n.pendingRetry = waiting
-		}
-
-		// 3. Poll listeners.
-		for _, l := range n.listeners {
-			if l.halt {
-				continue
-			}
-			if st, ok := l.req.TestStatus(); ok {
-				old := l.req
-				payload := old.Payload()
-				src := st.Source
-				// Repost before invoking so back-to-back messages queue.
-				l.req = n.comm.IrecvReserved(mpi.AnySource, l.tag)
-				l.fn(src, payload)
-				old.Free() // adopted payload survives; the handle recycles
-				progressed = true
-			}
-		}
-
-		// 4. Collect finished collectives from the helper goroutine.
-		for {
-			r, ok := n.collDone.Pop()
-			if !ok {
-				break
-			}
-			n.completeLocal(r.t, r.st)
-			n.collsInFlight.Add(-1)
-			progressed = true
-		}
-
-		if progressed {
-			idle = 0
-			continue
-		}
-		if n.stop.Load() && n.worklist.Empty() && len(n.active) == 0 &&
-			len(n.pendingRetry) == 0 && n.collsInFlight.Load() == 0 {
-			n.haltListeners()
-			return
-		}
-		idle++
-		switch {
-		case idle < 32:
-			// Hot spin: a fresh prescription or an in-flight completion is
-			// most likely to land within the next few sweeps.
-		case idle < 64:
-			runtime.Gosched()
-		default:
-			n.idleSleep(idle - 64)
-		}
-	}
-}
-
-// idleSleep parks an idle communication worker. The sleep doubles from
-// 1µs per idle round up to cfg.PollSleep (so a briefly quiet worker
-// reacts in microseconds while a long-idle one settles at the
-// configured cap), and is additionally clipped to the time remaining
-// until the earliest pending event — an active operation's deadline or
-// a dropped send's retry instant — so adaptivity never delays a
-// timeout or retransmission decision.
-func (n *Node) idleSleep(rounds int) {
-	if rounds > 16 {
-		rounds = 16
-	}
-	d := time.Microsecond << rounds
-	if d > n.cfg.PollSleep || d <= 0 {
-		d = n.cfg.PollSleep
-	}
-	if bound, ok := n.nextEventIn(); ok && bound < d {
-		if bound <= 0 {
-			return
-		}
-		d = bound
-	}
-	time.Sleep(d) //hclint:allow the worker's own deadline-clipped idle parking is the one sanctioned wait
-}
-
-// nextEventIn returns how long until the earliest scheduled event the
-// worker itself must act on: the oldest active-operation deadline or
-// pending-retry wake-up. ok is false when nothing is scheduled.
-func (n *Node) nextEventIn() (time.Duration, bool) {
-	var earliest time.Time
-	for _, t := range n.active {
-		if !t.deadline.IsZero() && (earliest.IsZero() || t.deadline.Before(earliest)) {
-			earliest = t.deadline
-		}
-	}
-	for _, t := range n.pendingRetry {
-		at := t.retryAt
-		if !t.deadline.IsZero() && t.deadline.Before(at) {
-			at = t.deadline
-		}
-		if earliest.IsZero() || at.Before(earliest) {
-			earliest = at
-		}
-	}
-	if earliest.IsZero() {
-		return 0, false
-	}
-	return time.Until(earliest), true
 }
 
 func (n *Node) haltListeners() {
@@ -694,9 +548,9 @@ func (n *Node) shouldRetry(t *commTask, st *mpi.Status) bool {
 
 // scheduleRetry parks a dropped send until its backoff elapses: the delay
 // doubles per attempt from RetryBackoff, capped at 64x the base. The
-// dropped attempt's request handle is recycled here; reissueSend draws
-// a fresh one.
-func (n *Node) scheduleRetry(t *commTask) {
+// dropped attempt's request handle is recycled here; the re-issue (in
+// progress) draws a fresh one.
+func (n *Node) scheduleRetry(t *commTask, clk *sweepClock) {
 	t.req.Free()
 	t.req = nil
 	n.stats.retries.Add(1)
@@ -705,19 +559,16 @@ func (n *Node) scheduleRetry(t *commTask) {
 		backoff = cap
 	}
 	t.retries++
-	t.retryAt = time.Now().Add(backoff)
+	t.retryAt = clk.now().Add(backoff)
 	n.pendingRetry = append(n.pendingRetry, t)
 }
 
-// reissueSend re-issues a dropped send's MPI operation and returns the
-// task to the polled ACTIVE set.
-func (n *Node) reissueSend(t *commTask) {
+// isend issues a send task's MPI operation.
+func (n *Node) isend(t *commTask) *mpi.Request {
 	if t.tag < 0 {
-		t.req = n.comm.IsendReserved(t.buf, t.peer, t.tag)
-	} else {
-		t.req = n.comm.Isend(t.buf, t.peer, t.tag)
+		return n.comm.IsendReserved(t.buf, t.peer, t.tag)
 	}
-	n.active = append(n.active, t)
+	return n.comm.Isend(t.buf, t.peer, t.tag)
 }
 
 // timeoutTask fails an operation that overran OpTimeout. Receives are
@@ -726,8 +577,8 @@ func (n *Node) reissueSend(t *commTask) {
 // completion is published instead of the timeout.
 func (n *Node) timeoutTask(t *commTask) {
 	if !t.req.Cancel() {
-		if st, ok := t.req.Test(); ok {
-			n.finishP2P(t, st)
+		if st, ok := t.req.TestStatus(); ok {
+			n.finishP2P(t, &st)
 			return
 		}
 		// A send still in flight (or a receive matched but not yet
@@ -755,31 +606,47 @@ func (n *Node) finishP2P(t *commTask, st *mpi.Status) {
 	n.completeP2P(t, st)
 }
 
-// armDeadline stamps the operation's overall deadline when timeouts are
-// configured.
-func (n *Node) armDeadline(t *commTask) {
-	if d := n.cfg.OpTimeout; d > 0 {
-		t.deadline = time.Now().Add(d)
+// settle handles a polled operation whose MPI request has completed with
+// st: a dropped send within its retry budget is scheduled for re-issue,
+// anything else is published.
+func (n *Node) settle(t *commTask, st *mpi.Status, clk *sweepClock) {
+	if n.shouldRetry(t, st) {
+		n.scheduleRetry(t, clk)
+		return
 	}
+	n.ring.Emit(trace.EvCommBusyStart, t.id, int64(t.kind))
+	id := t.id // publishing recycles t
+	n.finishP2P(t, st)
+	n.ring.Emit(trace.EvCommBusyEnd, id, 0)
+}
+
+// activate makes t, whose MPI operation was just issued as t.req, ACTIVE.
+// An operation the transport completed on the spot (a send delivered
+// inline, a receive matched by an already-arrived message) is settled
+// here; the rest get their deadline and join the polled set.
+func (n *Node) activate(t *commTask, clk *sweepClock) {
+	n.traceState(n.ring, t, StateActive)
+	if st, ok := t.req.TestStatus(); ok {
+		n.settle(t, &st, clk)
+		return
+	}
+	if d := n.cfg.OpTimeout; d > 0 {
+		t.deadline = clk.now().Add(d)
+	}
+	n.active = append(n.active, t)
 }
 
 // dispatch issues one prescribed task. Point-to-point operations become
-// ACTIVE and are polled; collectives block the communication worker until
-// done, exactly as the paper describes.
-func (n *Node) dispatch(t *commTask) {
+// ACTIVE and are polled; collectives are handed to the collective runner
+// and come back through collDone.
+func (n *Node) dispatch(t *commTask, clk *sweepClock) {
 	invariant.Assertf(t.State() == StatePrescribed,
 		"hcmpi: dispatching a %v task (worklist must carry PRESCRIBED tasks only)", t.State())
 	switch t.kind {
 	case kindIsend:
 		n.stats.sends.Add(1)
-		if t.tag < 0 {
-			t.req = n.comm.IsendReserved(t.buf, t.peer, t.tag)
-		} else {
-			t.req = n.comm.Isend(t.buf, t.peer, t.tag)
-		}
-		n.traceState(t, StateActive)
-		n.armDeadline(t)
-		n.active = append(n.active, t)
+		t.req = n.isend(t)
+		n.activate(t, clk)
 	case kindIrecv:
 		n.stats.recvs.Add(1)
 		switch {
@@ -791,9 +658,7 @@ func (n *Node) dispatch(t *commTask) {
 		default:
 			t.req = n.comm.Irecv(t.buf, t.peer, t.tag)
 		}
-		n.traceState(t, StateActive)
-		n.armDeadline(t)
-		n.active = append(n.active, t)
+		n.activate(t, clk)
 	case kindListen:
 		l := &listener{tag: t.tag, fn: t.listenFn}
 		l.req = n.comm.IrecvReserved(mpi.AnySource, t.tag)
@@ -802,15 +667,17 @@ func (n *Node) dispatch(t *commTask) {
 	case kindOneSided:
 		n.stats.sends.Add(1)
 		t.req = t.issue()
-		n.traceState(t, StateActive)
-		n.armDeadline(t)
-		n.active = append(n.active, t)
+		n.activate(t, clk)
 	case kindBarrier, kindBcast, kindReduce, kindAllreduce, kindScan,
 		kindGather, kindAllgather, kindScatter, kindCustom:
 		n.stats.collectives.Add(1)
-		n.traceState(t, StateActive)
-		n.collsInFlight.Add(1)
-		n.collQueue <- t //hclint:allow collective ordering requires the worker to park if the runner falls 64 collectives behind
+		n.traceState(n.ring, t, StateActive)
+		n.collsInFlight++
+		n.collQueue.Push(t)
+		select {
+		case n.collKick <- struct{}{}:
+		default: // a kick is already pending; the runner drains the whole queue per kick
+		}
 	case kindCancel:
 		// Find the ACTIVE operation carrying the target request and try
 		// to cancel the underlying MPI operation (only unmatched
@@ -833,42 +700,77 @@ func (n *Node) dispatch(t *commTask) {
 	}
 }
 
-// collectiveRunner is the communication worker's helper goroutine: it
+// collectiveRunner is the progress engine's helper goroutine: it
 // executes collectives strictly in dispatch order (so every rank issues
 // them in the same sequence, preserving MPI's collective matching
-// discipline) while the worker loop keeps servicing listeners and
-// point-to-point progress. The results flow back to the worker loop,
-// which publishes them (deque pushes stay on the worker goroutine).
+// discipline) while sweeps keep servicing listeners and point-to-point
+// progress. The results flow back through collDone to a sweep, which
+// publishes them (request completion stays under the sweep lock). It
+// exits with the dedicated worker, which stops only once no collective
+// is in flight.
 func (n *Node) collectiveRunner() {
-	for t := range n.collQueue {
-		n.runCollective(t)
+	for {
+		for {
+			t, ok := n.collQueue.Pop()
+			if !ok {
+				break
+			}
+			if !n.runCollective(t) {
+				return // abandoned in a timed-out collective: a successor owns the queue
+			}
+		}
+		select {
+		case <-n.collKick:
+		case <-n.stopped:
+			return
+		}
 	}
 }
 
-func (n *Node) runCollective(t *commTask) {
+// runCollective executes t on the calling runner and reports whether
+// that runner still owns the queue afterwards.
+//
+// With OpTimeout set a watchdog timer races the operation. A collective
+// stuck behind a partition or crashed rank is abandoned with ErrTimeout,
+// so its awaiters (and Close's final barrier) unblock, and a successor
+// runner takes over the queue; the abandoned runner exits if its MPI
+// call ever returns (under a permanent partition it is leaked, which is
+// the faithful outcome). Collectives run one at a time, so counting the
+// decided ones settles the race: whoever moves collDecided from this
+// collective's predecessor to it owns the outcome. The thunk captured
+// every task field it needs, so the loser never touches the (recycled)
+// task.
+func (n *Node) runCollective(t *commTask) bool {
 	thunk := n.collectiveThunk(t)
 	if n.cfg.OpTimeout <= 0 {
-		n.collDone.Push(&collResult{t: t, st: thunk()})
-		return
+		n.collFinished(t, thunk())
+		return true
 	}
-	// Watchdog: a collective stuck behind a partition or crashed rank is
-	// abandoned with ErrTimeout so its awaiters (and Close's final
-	// barrier) unblock. The thunk captured every task field it needs, so
-	// the abandoned goroutine never touches the (recycled) task; it is
-	// leaked only if the blocking MPI call never returns, which under a
-	// permanent partition is the faithful outcome.
-	done := make(chan *Status, 1)
-	go func() { done <- thunk() }()
-	timer := time.NewTimer(n.cfg.OpTimeout)
-	select {
-	case st := <-done:
-		timer.Stop()
-		n.collDone.Push(&collResult{t: t, st: st})
-	case <-timer.C:
-		n.stats.timeouts.Add(1)
-		n.stats.failures.Add(1)
-		n.collDone.Push(&collResult{t: t, st: &Status{Err: mpi.ErrTimeout}})
+	seq := n.collDecided.Load() + 1
+	watchdog := time.AfterFunc(n.cfg.OpTimeout, func() {
+		if n.collDecided.CompareAndSwap(seq-1, seq) {
+			n.stats.timeouts.Add(1)
+			n.stats.failures.Add(1)
+			n.collFinished(t, &Status{Err: mpi.ErrTimeout})
+			go n.collectiveRunner()
+		}
+	})
+	st := thunk()
+	if !n.collDecided.CompareAndSwap(seq-1, seq) {
+		return false
 	}
+	watchdog.Stop()
+	n.collFinished(t, st)
+	return true
+}
+
+// collFinished hands a finished collective to the next sweep. The task
+// blocked on it has usually parked its worker by now; rousing the pool
+// lets that worker drive the publishing sweep at once (through the idle
+// hook) instead of leaving it to the dedicated worker's next wake-up.
+func (n *Node) collFinished(t *commTask, st *Status) {
+	n.collDone.Push(&collResult{t: t, st: st})
+	n.rt.Wake()
 }
 
 // collectiveThunk snapshots the task's operation into a self-contained
@@ -916,7 +818,7 @@ func (n *Node) completeP2P(t *commTask, st *mpi.Status) {
 		hst.Payload = t.req.Payload()
 	}
 	if t.kind == kindIsend || t.kind == kindIrecv {
-		// Point-to-point handles are held by this worker alone and can be
+		// Point-to-point handles are held by the sweep alone and can be
 		// recycled. One-sided handles are also tracked by their window's
 		// epoch list (mpi.Win.Fence waits on them later), so they must
 		// stay live until the epoch closes — they fall to the GC instead.
@@ -926,15 +828,15 @@ func (n *Node) completeP2P(t *commTask, st *mpi.Status) {
 }
 
 // completeLocal moves a task to COMPLETED, puts its status into the
-// request DDF (releasing awaiting DDTs onto the comm worker's deque), and
-// recycles the structure to AVAILABLE.
+// request DDF (releasing awaiting DDTs through ReleaseTask), and recycles
+// the structure to AVAILABLE.
 func (n *Node) completeLocal(t *commTask, st *Status) {
 	if invariant.Enabled {
 		s := t.State()
 		invariant.Assertf(s == StatePrescribed || s == StateActive,
 			"hcmpi: completing a %v task (double completion or completion after retire)", s)
 	}
-	n.traceState(t, StateCompleted)
+	n.traceState(n.ring, t, StateCompleted)
 	req := t.request
 	n.retire(t)
 	if req != nil {

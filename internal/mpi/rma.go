@@ -278,5 +278,31 @@ func (w *Win) Fence() {
 	for _, r := range pending {
 		r.Wait()
 	}
-	w.comm.Barrier()
+	w.comm.fenceSync()
+}
+
+// fenceSync synchronizes the ranks at a fence with an all-to-all marker
+// exchange. A dissemination barrier is not enough: it tells a rank that
+// every peer has entered, transitively, but hears from only log p of
+// them directly, and on a transport where a Put "completes" once it is
+// written to the peer's connection (TCP) a put from one of the others may
+// still be in flight when the barrier lets go. A marker travels behind
+// its sender's puts on the same ordered channel, and one-sided
+// operations are applied at delivery, so a rank holding every peer's
+// marker has had every pre-fence RMA applied to its window.
+func (c *Comm) fenceSync() {
+	seq := c.nextCollSeq()
+	markers := make([]byte, c.size)
+	reqs := make([]*Request, 0, c.size-1)
+	for r := 0; r < c.size; r++ {
+		if r == c.rank {
+			continue
+		}
+		reqs = append(reqs, c.irecv(markers[r:r+1], r, collTag(seq, 0), false))
+		c.isendRetry(nil, r, collTag(seq, 0))
+	}
+	for _, r := range reqs {
+		r.WaitStatus()
+		r.Free()
+	}
 }

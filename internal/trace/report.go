@@ -237,6 +237,10 @@ func (t *Tracer) BuildReport() *Report {
 		dwellN := map[string]int64{}
 		lastState := map[int64]opState{}
 		activeAt := map[int64]int64{}
+		// Comm-task transitions sit on the comm track and, for sweeps a
+		// computation worker drove, on that worker's track; an operation's
+		// lifecycle is the time-ordered merge of both.
+		var commStates []Event
 
 		for _, te := range byPid[pid] {
 			switch te.Kind {
@@ -254,31 +258,36 @@ func (t *Tracer) BuildReport() *Report {
 						rr.StealSuccesses++
 					case EvStealFail:
 						rr.StealFails++
+					case EvCommState:
+						commStates = append(commStates, e)
 					}
 				}
 			case TrackComm:
 				for _, e := range te.Events {
-					if e.Kind != EvCommState {
-						continue
-					}
-					id, st := e.A, e.B
-					if prev, ok := lastState[id]; ok && prev.state != CommAvailable {
-						name := CommStateName(prev.state)
-						dwellSum[name] += e.TS - prev.ts
-						dwellN[name]++
-					}
-					lastState[id] = opState{st, e.TS}
-					switch st {
-					case CommActive:
-						activeAt[id] = e.TS
-					case CommCompleted:
-						if from, ok := activeAt[id]; ok {
-							inflight = append(inflight, interval{from, e.TS})
-							delete(activeAt, id)
-						}
-						rr.CommOps++
+					if e.Kind == EvCommState {
+						commStates = append(commStates, e)
 					}
 				}
+			}
+		}
+		sort.SliceStable(commStates, func(i, j int) bool { return commStates[i].TS < commStates[j].TS })
+		for _, e := range commStates {
+			id, st := e.A, e.B
+			if prev, ok := lastState[id]; ok && prev.state != CommAvailable {
+				name := CommStateName(prev.state)
+				dwellSum[name] += e.TS - prev.ts
+				dwellN[name]++
+			}
+			lastState[id] = opState{st, e.TS}
+			switch st {
+			case CommActive:
+				activeAt[id] = e.TS
+			case CommCompleted:
+				if from, ok := activeAt[id]; ok {
+					inflight = append(inflight, interval{from, e.TS})
+					delete(activeAt, id)
+				}
+				rr.CommOps++
 			}
 		}
 

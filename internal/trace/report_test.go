@@ -18,6 +18,13 @@ func stampClock(stamps ...int64) func() int64 {
 }
 
 func TestBuildReport(t *testing.T) {
+	t.Run("dedicated", func(t *testing.T) { testBuildReport(t, false) })
+	// A sweep driven by a computation worker records the transitions it
+	// makes on that worker's track; the report must merge the two.
+	t.Run("stolen-sweep", func(t *testing.T) { testBuildReport(t, true) })
+}
+
+func testBuildReport(t *testing.T, stolen bool) {
 	// One rank, one worker busy [100,300) and [500,600); one comm op
 	// ACTIVE [200,550) — so 150ns of its 350ns in-flight window overlap
 	// compute ([200,300) and [500,550)).
@@ -34,11 +41,15 @@ func TestBuildReport(t *testing.T) {
 	w.Emit(EvTaskStart, 0, 0)
 	w.Emit(EvTaskEnd, 0, 0)
 
+	sweep := comm
+	if stolen {
+		sweep = w
+	}
 	comm.Emit(EvCommState, 9, CommAllocated)
 	comm.Emit(EvCommState, 9, CommPrescribed)
-	comm.Emit(EvCommState, 9, CommActive)
-	comm.Emit(EvCommState, 9, CommCompleted)
-	comm.Emit(EvCommState, 9, CommAvailable)
+	sweep.Emit(EvCommState, 9, CommActive)
+	sweep.Emit(EvCommState, 9, CommCompleted)
+	sweep.Emit(EvCommState, 9, CommAvailable)
 
 	w.Emit(EvStealAttempt, 1, 0)
 	w.Emit(EvStealSuccess, 1, 0)
