@@ -25,10 +25,13 @@ test:
 # plus the progress-engine contention tests: computation workers and the
 # dedicated worker racing for the sweep (TestChaosProgressContention), the
 # idle-hook/idleMu ordering rule (TestIdleHook...), and blocking tasks that
-# stack up crosswise (TestBlock..., TestRecycleStress...).
+# stack up crosswise (TestBlock..., TestRecycleStress...), and the
+# aggregated-frame tests: bursts, cap splits and dropped frames through
+# hcmpi.Outbox and the DDDF protocol on top of it (TestOutbox...,
+# TestBurst..., TestChaosFrameDrop...).
 chaos:
-	$(GO) test -race -count=1 -run 'Chaos|IdleHook|TestBlock|RecycleStress|TestFault|Test.*(Drop|Partition|Crash|Stall|Cancel)' \
-		./internal/netsim/ ./internal/mpi/ ./internal/hc/ ./internal/hcmpi/ ./internal/distsched/
+	$(GO) test -race -count=1 -run 'Chaos|IdleHook|TestBlock|RecycleStress|TestFault|TestOutbox|TestBurst|Test.*(Drop|Partition|Crash|Stall|Cancel)' \
+		./internal/netsim/ ./internal/mpi/ ./internal/hc/ ./internal/hcmpi/ ./internal/dddf/ ./internal/distsched/
 
 # Cross-transport conformance: the p2p/collectives/RMA/hcmpi/DDDF
 # corpora over both backends (netsim and the TCP loopback mesh), plus

@@ -218,6 +218,45 @@ func BenchmarkDDDFRemoteFetch(b *testing.B) {
 	})
 }
 
+// BenchmarkDDDFFetchBurst keeps 32 remote 1 KiB guids in flight per
+// round, as a dataflow program does: the awaits of a round are issued
+// back to back, so their registrations (and the home's answers) ride
+// aggregated frames. frames/op is both ranks' DDDF messages per guid —
+// 2.0 with one message per record, a small fraction when bursts share
+// frames.
+func BenchmarkDDDFFetchBurst(b *testing.B) {
+	const inFlight, size = 32, 1024
+	home := func(guid int64) int { return 0 }
+	var frames [2]int64
+	b.ReportAllocs()
+	hcmpi.RunDDDF(2, hcmpi.Config{Workers: 1}, home, nil, func(s *hcmpi.DDDFSpace, ctx *hcmpi.Ctx) {
+		sent := s.Node().Metrics().Counter("dddf_frames_sent")
+		if s.Node().Rank() == 0 {
+			for i := 0; i < b.N; i++ {
+				s.Handle(int64(i)).Put(ctx, make([]byte, size))
+			}
+			s.Node().Barrier(ctx)
+			s.Node().Barrier(ctx) // rank 1 has fetched everything
+			frames[0] = sent.Load()
+			return
+		}
+		s.Node().Barrier(ctx)
+		b.ResetTimer()
+		for i := 0; i < b.N; i += inFlight {
+			ctx.Finish(func(ctx *hcmpi.Ctx) {
+				for g := i; g < min(i+inFlight, b.N); g++ {
+					h := s.Handle(int64(g))
+					s.AsyncAwait(ctx, func(*hcmpi.Ctx) { _ = h.MustGet() }, h)
+				}
+			})
+		}
+		b.StopTimer()
+		s.Node().Barrier(ctx)
+		frames[1] = sent.Load()
+	})
+	b.ReportMetric(float64(frames[0]+frames[1])/float64(b.N), "frames/op")
+}
+
 // --- per-table / per-figure experiment benchmarks (simulator) ---
 
 // BenchmarkFig14Bandwidth reports the modelled 8-thread bandwidth gap.

@@ -14,7 +14,10 @@
 //
 // All protocol traffic flows through the HCMPI communication worker:
 // registration requests and data responses are reserved-tag messages
-// handled by listener tasks.
+// handled by listener tasks. The paper sends one message per guid; here
+// the records bound for one rank are aggregated into frames (one
+// hcmpi.Outbox per destination and tag), so a burst of awaits or puts
+// costs one message, not one per guid (DESIGN.md §17).
 package dddf
 
 import (
@@ -31,9 +34,17 @@ import (
 // Reserved tags for the DDDF wire protocol, drawn from the module-wide
 // registry in internal/mpi/tags.go.
 const (
-	tagRegister = mpi.TagDDDFRegister // payload: guid — "send me guid's value when put"
-	tagData     = mpi.TagDDDFData     // payload: guid ++ value
-	tagPutFwd   = mpi.TagDDDFPutFwd   // payload: guid ++ value — remote put forwarded home
+	tagRegister = mpi.TagDDDFRegister // frame of guids — "send me each guid's value when put"
+	tagData     = mpi.TagDDDFData     // frame of value records
+	tagPutFwd   = mpi.TagDDDFPutFwd   // frame of value records — remote puts forwarded home
+)
+
+// Frame layouts (little endian). A register frame is packed guids; a
+// data or put-forward frame is packed value records, each a header of
+// guid and value length followed by the value.
+const (
+	guidBytes   = 8
+	valueHeader = guidBytes + 4
 )
 
 // HomeFunc maps a guid to its home rank (DDF_HOME).
@@ -50,19 +61,23 @@ type Space struct {
 	home HomeFunc
 	size SizeFunc
 
+	// Outboxes by destination rank, one set per tag.
+	regOut, dataOut, fwdOut []*hcmpi.Outbox
+
 	mu      sync.Mutex
 	entries map[int64]*entry
 
-	// stats (atomic: bumped from computation workers and the comm worker)
+	// stats, per guid whatever the framing (atomic: bumped from
+	// computation workers and the comm worker)
 	registersSent atomic.Int64
 	dataSent      atomic.Int64
 }
 
 // entry tracks one guid on this rank.
 type entry struct {
-	ddf        *hc.DDF
-	registered bool  // remote side: registration sent to home
-	pending    []int // home side: ranks awaiting the put
+	ddf        hc.DDF
+	registered atomic.Bool // remote side: registration sent to home
+	pending    []int       // home side: ranks awaiting the put (under Space.mu)
 }
 
 // NewSpace creates the namespace handler on this rank and installs its
@@ -70,6 +85,13 @@ type entry struct {
 // (and agree) on all ranks, as the paper requires of DDF_HOME/DDF_SIZE.
 func NewSpace(n *hcmpi.Node, home HomeFunc, size SizeFunc) *Space {
 	s := &Space{node: n, home: home, size: size, entries: make(map[int64]*entry)}
+	ranks := n.Size()
+	s.regOut, s.dataOut, s.fwdOut = make([]*hcmpi.Outbox, ranks), make([]*hcmpi.Outbox, ranks), make([]*hcmpi.Outbox, ranks)
+	for r := 0; r < ranks; r++ {
+		s.regOut[r] = n.NewOutbox(r, tagRegister, "dddf")
+		s.dataOut[r] = n.NewOutbox(r, tagData, "dddf")
+		s.fwdOut[r] = n.NewOutbox(r, tagPutFwd, "dddf")
+	}
 	n.Listen(tagRegister, s.onRegister)
 	n.Listen(tagData, s.onData)
 	n.Listen(tagPutFwd, s.onPutFwd)
@@ -89,7 +111,7 @@ func (s *Space) Handle(guid int64) *Handle {
 func (s *Space) entryLocked(guid int64) *entry {
 	e, ok := s.entries[guid]
 	if !ok {
-		e = &entry{ddf: hc.NewDDF()}
+		e = &entry{}
 		s.entries[guid] = e
 	}
 	return e
@@ -112,7 +134,7 @@ func (h *Handle) Home() int { return h.s.home(h.guid) }
 func (h *Handle) IsHome() bool { return h.Home() == h.s.node.Rank() }
 
 // DDF exposes the local single-assignment cell (for await clauses).
-func (h *Handle) DDF() *hc.DDF { return h.e.ddf }
+func (h *Handle) DDF() *hc.DDF { return &h.e.ddf }
 
 // Put writes the DDDF's value (DDF_PUT). On the home rank it releases
 // local awaiters, satisfies already-arrived remote registrations, and
@@ -133,22 +155,21 @@ func (h *Handle) TryPut(ctx *hc.Ctx, data []byte) error {
 		}
 	}
 	if h.IsHome() {
-		return h.s.homePut(ctx, h.guid, data)
+		return h.s.homePut(ctx, h.e, h.guid, data)
 	}
 	// Remote put: cache locally, then forward to home, which serves
 	// everyone else.
 	if err := h.e.ddf.TryPut(ctx, data); err != nil {
 		return err
 	}
-	h.s.node.SendReserved(encodeGuidData(h.guid, data), h.Home(), tagPutFwd)
+	appendValue(h.s.fwdOut[h.Home()], h.guid, data)
 	return nil
 }
 
-// homePut performs the home-side put: release local awaiters and answer
-// pending remote registrations.
-func (s *Space) homePut(ctx *hc.Ctx, guid int64, data []byte) error {
+// homePut performs the home-side put on guid's entry e: release local
+// awaiters and answer pending remote registrations.
+func (s *Space) homePut(ctx *hc.Ctx, e *entry, guid int64, data []byte) error {
 	s.mu.Lock()
-	e := s.entryLocked(guid)
 	if err := e.ddf.TryPut(ctx, data); err != nil {
 		s.mu.Unlock()
 		return err
@@ -157,10 +178,15 @@ func (s *Space) homePut(ctx *hc.Ctx, guid int64, data []byte) error {
 	e.pending = nil
 	s.mu.Unlock()
 	for _, r := range pending {
-		s.dataSent.Add(1)
-		s.node.SendReserved(encodeGuidData(guid, data), r, tagData)
+		s.sendData(r, guid, data)
 	}
 	return nil
+}
+
+// sendData transfers guid's value to remote rank r (once per remote).
+func (s *Space) sendData(r int, guid int64, data []byte) {
+	s.dataSent.Add(1)
+	appendValue(s.dataOut[r], guid, data)
 }
 
 // Get returns the locally available value (DDF_GET). As in the
@@ -191,10 +217,15 @@ func (h *Handle) Full() bool { return h.e.ddf.Full() }
 // available, registering with remote homes as needed (the paper's
 // async await over DDDFs).
 func (s *Space) AsyncAwait(ctx *hc.Ctx, fn func(*hc.Ctx), hs ...*Handle) {
+	if len(hs) == 1 { // the common await: no list to build
+		s.register(hs[0])
+		ctx.AsyncAwait(fn, &hs[0].e.ddf)
+		return
+	}
 	ddfs := make([]*hc.DDF, len(hs))
 	for i, h := range hs {
 		s.register(h)
-		ddfs[i] = h.e.ddf
+		ddfs[i] = &h.e.ddf
 	}
 	ctx.AsyncAwait(fn, ddfs...)
 }
@@ -208,7 +239,7 @@ func (s *Space) AsyncAwaitPlus(ctx *hc.Ctx, fn func(*hc.Ctx), locals []*hc.DDF, 
 	ddfs = append(ddfs, locals...)
 	for _, h := range hs {
 		s.register(h)
-		ddfs = append(ddfs, h.e.ddf)
+		ddfs = append(ddfs, &h.e.ddf)
 	}
 	ctx.AsyncAwait(fn, ddfs...)
 }
@@ -216,70 +247,77 @@ func (s *Space) AsyncAwaitPlus(ctx *hc.Ctx, fn func(*hc.Ctx), locals []*hc.DDF, 
 // register sends the home a one-time registration for a remote, still
 // empty handle.
 func (s *Space) register(h *Handle) {
-	if h.IsHome() || h.e.ddf.Full() {
+	home := h.Home()
+	if home == s.node.Rank() || h.e.ddf.Full() || !h.e.registered.CompareAndSwap(false, true) {
 		return
 	}
-	s.mu.Lock()
-	if h.e.registered {
-		s.mu.Unlock()
-		return
-	}
-	h.e.registered = true
 	s.registersSent.Add(1)
-	s.mu.Unlock()
-	s.node.SendReserved(encodeGuid(h.guid), h.Home(), tagRegister)
+	var guid [guidBytes]byte
+	binary.LittleEndian.PutUint64(guid[:], uint64(h.guid))
+	s.regOut[home].Append(guid[:])
 }
 
 // --- listener callbacks (run on the communication worker) ---
+//
+// A callback's payload is borrowed from the transport (hcmpi.Node.Listen):
+// guids are decoded by value and every cached value is copied out of the
+// frame, into a slice of exactly its own size, before the callback
+// returns.
 
-// onRegister handles a remote rank's interest in a local guid.
+// onRegister handles a remote rank's interest in local guids: those
+// already put are answered at once — all into the same outbox, so one
+// register frame is answered by one data frame — the rest when put.
 func (s *Space) onRegister(src int, payload []byte) {
-	guid := decodeGuid(payload)
-	s.mu.Lock()
-	e := s.entryLocked(guid)
-	if e.ddf.Full() {
-		data := e.ddf.MustGet().([]byte)
-		s.dataSent.Add(1)
+	for ; len(payload) >= guidBytes; payload = payload[guidBytes:] {
+		guid := int64(binary.LittleEndian.Uint64(payload))
+		s.mu.Lock()
+		e := s.entryLocked(guid)
+		if !e.ddf.Full() {
+			e.pending = append(e.pending, src)
+			s.mu.Unlock()
+			continue
+		}
 		s.mu.Unlock()
-		s.node.SendReserved(encodeGuidData(guid, data), src, tagData)
-		return
+		s.sendData(src, guid, e.ddf.MustGet().([]byte))
 	}
-	e.pending = append(e.pending, src)
-	s.mu.Unlock()
 }
 
 // onData handles the home's data response: fill the local cache,
 // releasing awaiting DDTs onto the communication worker's deque.
 func (s *Space) onData(_ int, payload []byte) {
-	guid, data := decodeGuidData(payload)
-	s.mu.Lock()
-	e := s.entryLocked(guid)
-	s.mu.Unlock()
-	// The transfer happens at most once, so a second data message for the
-	// same guid is a protocol error worth surfacing loudly.
-	if err := e.ddf.PutVia(s.node, data); err != nil {
-		panic(fmt.Sprintf("dddf: duplicate data transfer for guid %d", guid))
+	for len(payload) > 0 {
+		guid, data, rest := nextValue(payload)
+		payload = rest
+		s.mu.Lock()
+		e := s.entryLocked(guid)
+		s.mu.Unlock()
+		// The transfer happens at most once, so a second data record for
+		// the same guid is a protocol error worth surfacing loudly.
+		if err := e.ddf.PutVia(s.node, data); err != nil {
+			panic(fmt.Sprintf("dddf: duplicate data transfer for guid %d", guid))
+		}
 	}
 }
 
-// onPutFwd handles a put performed on a remote rank.
+// onPutFwd handles puts performed on a remote rank.
 func (s *Space) onPutFwd(src int, payload []byte) {
-	guid, data := decodeGuidData(payload)
-	s.mu.Lock()
-	e := s.entryLocked(guid)
-	if err := e.ddf.PutVia(s.node, data); err != nil {
-		s.mu.Unlock()
-		panic(fmt.Sprintf("dddf: double put on guid %d (forwarded from rank %d)", guid, src))
-	}
-	pending := e.pending
-	e.pending = nil
-	s.mu.Unlock()
-	for _, r := range pending {
-		if r == src {
-			continue // the putter already has the value
+	for len(payload) > 0 {
+		guid, data, rest := nextValue(payload)
+		payload = rest
+		s.mu.Lock()
+		e := s.entryLocked(guid)
+		if err := e.ddf.PutVia(s.node, data); err != nil {
+			s.mu.Unlock()
+			panic(fmt.Sprintf("dddf: double put on guid %d (forwarded from rank %d)", guid, src))
 		}
-		s.dataSent.Add(1)
-		s.node.SendReserved(encodeGuidData(guid, data), r, tagData)
+		pending := e.pending
+		e.pending = nil
+		s.mu.Unlock()
+		for _, r := range pending {
+			if r != src { // the putter already has the value
+				s.sendData(r, guid, data)
+			}
+		}
 	}
 }
 
@@ -293,21 +331,21 @@ func (s *Space) Stats() (registersSent, dataSent int64) {
 
 // --- wire encoding ---
 
-func encodeGuid(guid int64) []byte {
-	b := make([]byte, 8)
-	binary.LittleEndian.PutUint64(b, uint64(guid))
-	return b
+// appendValue writes one value record straight into out's open frame.
+func appendValue(out *hcmpi.Outbox, guid int64, data []byte) {
+	var hdr [valueHeader]byte
+	binary.LittleEndian.PutUint64(hdr[:], uint64(guid))
+	binary.LittleEndian.PutUint32(hdr[guidBytes:], uint32(len(data)))
+	out.Append(hdr[:], data)
 }
 
-func decodeGuid(b []byte) int64 { return int64(binary.LittleEndian.Uint64(b)) }
-
-func encodeGuidData(guid int64, data []byte) []byte {
-	b := make([]byte, 8+len(data))
-	binary.LittleEndian.PutUint64(b, uint64(guid))
-	copy(b[8:], data)
-	return b
-}
-
-func decodeGuidData(b []byte) (int64, []byte) {
-	return int64(binary.LittleEndian.Uint64(b)), b[8:]
+// nextValue decodes the value record at the head of frame b: the guid, a
+// copy of the value (b is borrowed, the copy is what the cache keeps) and
+// the rest of the frame.
+func nextValue(b []byte) (guid int64, value, rest []byte) {
+	guid = int64(binary.LittleEndian.Uint64(b))
+	n := int(binary.LittleEndian.Uint32(b[guidBytes:]))
+	value = make([]byte, n)
+	copy(value, b[valueHeader:valueHeader+n])
+	return guid, value, b[valueHeader+n:]
 }

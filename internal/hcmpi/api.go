@@ -210,6 +210,15 @@ func (n *Node) TestAny(rs ...*Request) (int, *Status, bool) {
 // communication worker invokes fn for every arriving message. This is the
 // listener-task facility the runtime uses for DDDF homes and that the UTS
 // port uses to answer steal requests while computation workers are busy.
+//
+// payload is borrowed: it is valid only for the duration of the call.
+// The sweep hands the buffer back to the transport's pool as soon as fn
+// returns, and the next message may be staged in it, so fn must copy
+// whatever it keeps — storing payload or a sub-slice of it anywhere that
+// outlives the call is a bug (hclint's buffer-reuse analyzer flags it,
+// and builds with -tags hcmpi_debug poison the bytes with 0xDB on
+// return so a retained slice fails loudly). fn runs under the sweep lock
+// and must not block.
 func (n *Node) Listen(tag int, fn func(src int, payload []byte)) {
 	req := n.newRequest()
 	t := n.allocTask()

@@ -92,6 +92,11 @@ const (
 	// kindCustom runs an arbitrary blocking operation on the collective
 	// runner in dispatch order (window creation, fence).
 	kindCustom
+	// kindFlush sends an Outbox frame. The task is prescribed empty and
+	// binds the frame when it is dispatched; from then on it is a
+	// kindIsend whose buffer it owns (polled, retried and timed out as a
+	// unit), told apart by its outbox field.
+	kindFlush
 )
 
 // commTask is one unit of work for the communication worker.
@@ -121,6 +126,10 @@ type commTask struct {
 	custom func() *Status
 	// cancelTarget identifies the request a kindCancel task refers to.
 	cancelTarget *Request
+	// outbox is where a kindFlush task binds its frame at dispatch; it
+	// stays set on the send the task becomes, marking buf as a pool
+	// buffer the task owns rather than the caller's.
+	outbox *Outbox
 	// resultParts carries gather-style collective results.
 	resultParts [][]byte
 	resultBuf   []byte
@@ -147,6 +156,7 @@ func (t *commTask) reset() {
 	t.req, t.request = nil, nil
 	t.issue, t.custom = nil, nil
 	t.cancelTarget = nil
+	t.outbox = nil
 	t.retries, t.retryAt, t.deadline = 0, time.Time{}, time.Time{}
 }
 
@@ -563,8 +573,13 @@ func (n *Node) scheduleRetry(t *commTask, clk *sweepClock) {
 	n.pendingRetry = append(n.pendingRetry, t)
 }
 
-// isend issues a send task's MPI operation.
+// isend issues a send task's MPI operation. A flush task's frame is a
+// pool buffer handed over without a staging copy; the transport gives it
+// back only with a drop verdict, which is what lets a retry send it again.
 func (n *Node) isend(t *commTask) *mpi.Request {
+	if t.outbox != nil {
+		return n.comm.IsendReservedOwned(t.buf, t.peer, t.tag)
+	}
 	if t.tag < 0 {
 		return n.comm.IsendReserved(t.buf, t.peer, t.tag)
 	}
@@ -616,6 +631,9 @@ func (n *Node) settle(t *commTask, st *mpi.Status, clk *sweepClock) {
 	}
 	n.ring.Emit(trace.EvCommBusyStart, t.id, int64(t.kind))
 	id := t.id // publishing recycles t
+	if t.outbox != nil && errors.Is(st.Err, mpi.ErrMessageDropped) {
+		n.comm.Buffers().Put(t.buf) // out of retries: the frame came back and goes nowhere
+	}
 	n.finishP2P(t, st)
 	n.ring.Emit(trace.EvCommBusyEnd, id, 0)
 }
@@ -667,6 +685,13 @@ func (n *Node) dispatch(t *commTask, clk *sweepClock) {
 	case kindOneSided:
 		n.stats.sends.Add(1)
 		t.req = t.issue()
+		n.activate(t, clk)
+	case kindFlush:
+		n.stats.sends.Add(1)
+		f := t.outbox.bind()
+		t.kind, t.buf = kindIsend, f.buf
+		n.ring.Emit(trace.EvSendPost, int64(t.peer), int64(f.records))
+		t.req = n.isend(t)
 		n.activate(t, clk)
 	case kindBarrier, kindBcast, kindReduce, kindAllreduce, kindScan,
 		kindGather, kindAllgather, kindScatter, kindCustom:
@@ -813,9 +838,12 @@ func (n *Node) collectiveThunk(t *commTask) func() *Status {
 // MPI request handle is recycled once its payload (a slice that
 // survives the handle) has been extracted.
 func (n *Node) completeP2P(t *commTask, st *mpi.Status) {
-	hst := &Status{Source: st.Source, Tag: st.Tag, Bytes: st.Bytes, Cancelled: st.Cancelled, Err: st.Err}
-	if t.takeAll || t.req.Payload() != nil {
-		hst.Payload = t.req.Payload()
+	var hst *Status
+	if t.request != nil { // a flush has nobody to tell
+		hst = &Status{Source: st.Source, Tag: st.Tag, Bytes: st.Bytes, Cancelled: st.Cancelled, Err: st.Err}
+		if t.takeAll || t.req.Payload() != nil {
+			hst.Payload = t.req.Payload()
+		}
 	}
 	if t.kind == kindIsend || t.kind == kindIrecv {
 		// Point-to-point handles are held by the sweep alone and can be

@@ -138,11 +138,12 @@ func (n *Node) progress() bool {
 				break
 			}
 			old := l.req
-			payload := old.Payload()
 			// Repost before invoking so back-to-back messages queue.
 			l.req = n.comm.IrecvReserved(mpi.AnySource, l.tag)
-			l.fn(st.Source, payload)
-			old.Free() // adopted payload survives; the handle recycles
+			l.fn(st.Source, old.Payload())
+			// The callback only borrowed the payload: it goes back to the
+			// transport's pool with the handle.
+			old.FreeWithPayload()
 			progressed = true
 		}
 	}

@@ -24,9 +24,12 @@ import (
 // it again are reported. Reads are deliberately not flagged: reading a
 // posted send buffer is legal, and flagging reads of recv buffers
 // would drown the one real race class in noise.
+//
+// The analyzer also checks the receiving side's version of the rule,
+// the borrowed payload of a Listen callback (listenScanBody below).
 var BufferReuse = &Analyzer{
 	Name:      "buffer-reuse",
-	Doc:       "a posted buffer must not be written, recycled, or re-posted before its completion",
+	Doc:       "a posted buffer must not be written, recycled, or re-posted before its completion; a listener payload must not outlive its callback",
 	RunModule: runBufferReuse,
 }
 
@@ -46,6 +49,7 @@ func runBufferReuse(pkgs []*Package) []Finding {
 	for _, n := range g.SortedNodes() {
 		if n.Body != nil {
 			out = append(out, reuseScanBody(n)...)
+			out = append(out, listenScanBody(g, n)...)
 		}
 	}
 	return dedupe(out)
@@ -343,4 +347,161 @@ func containsFold(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// Listener payloads are the same obligation seen from the other side: the
+// []byte a Listen callback receives belongs to the transport, which lends
+// it for the duration of the call and stages the next message in it
+// afterwards (hcmpi.Node.Listen). A callback may read it, slice it and
+// pass it down, but whatever it keeps it must copy. listenScanBody finds
+// the callbacks registered in n's body — function literals, and methods
+// or functions passed by name — and reports the stores that let the
+// payload, or a sub-slice of it, outlive the call: an assignment to
+// anything but a local of the callback, a channel send, an append or
+// composite literal that takes it as an element, a goroutine started on
+// it. Aliases (`p := payload[8:]`) are followed; values returned by
+// callees are not.
+func listenScanBody(g *CallGraph, n *CGNode) []Finding {
+	var out []Finding
+	ast.Inspect(n.Body, func(node ast.Node) bool {
+		call, ok := node.(*ast.CallExpr)
+		if !ok || len(call.Args) != 2 {
+			return true
+		}
+		if fn := calleeFunc(n.Pkg, call); fn == nil || fn.Name() != "Listen" {
+			return true
+		}
+		if lit, ok := ast.Unparen(call.Args[1]).(*ast.FuncLit); ok {
+			out = append(out, payloadRetention(n.Pkg, lit.Type, lit.Body)...)
+			return true
+		}
+		// A method or function passed by name: scan its declaration.
+		cb := g.NodeFor(calleeFunc(n.Pkg, &ast.CallExpr{Fun: call.Args[1]}))
+		if cb != nil && cb.Decl != nil && cb.Body != nil {
+			out = append(out, payloadRetention(cb.Pkg, cb.Decl.Type, cb.Body)...)
+		}
+		return true
+	})
+	return out
+}
+
+// payloadRetention scans one listener callback (its signature and body)
+// for stores of the borrowed payload parameter.
+func payloadRetention(p *Package, sig *ast.FuncType, body *ast.BlockStmt) []Finding {
+	params := sig.Params.List
+	if len(params) == 0 {
+		return nil
+	}
+	names := params[len(params)-1].Names
+	if len(names) == 0 || names[len(names)-1].Name == "_" {
+		return nil // the payload is never named, so never kept
+	}
+	payload := localVarOf(p, names[len(names)-1])
+	if payload == nil || !types.Identical(payload.Type().Underlying(), types.NewSlice(types.Typ[types.Byte])) {
+		return nil
+	}
+
+	tainted := map[*types.Var]bool{payload: true}
+	local := func(v *types.Var) bool { // declared by the callback itself
+		return v == payload || (v.Pos() >= body.Pos() && v.Pos() < body.End())
+	}
+	// derived reports whether e evaluates to the payload or a slice of it.
+	var derived func(e ast.Expr) bool
+	derived = func(e ast.Expr) bool {
+		switch v := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			w := localVarOf(p, v)
+			return w != nil && tainted[w]
+		case *ast.SliceExpr:
+			return derived(v.X)
+		}
+		return false
+	}
+	// pairs walks the (lhs, rhs) pairs of assignments and var specs.
+	pairs := func(visit func(lhs, rhs ast.Expr)) {
+		ast.Inspect(body, func(node ast.Node) bool {
+			switch v := node.(type) {
+			case *ast.AssignStmt:
+				if len(v.Lhs) == len(v.Rhs) {
+					for i := range v.Lhs {
+						visit(v.Lhs[i], v.Rhs[i])
+					}
+				}
+			case *ast.ValueSpec:
+				if len(v.Names) == len(v.Values) {
+					for i := range v.Names {
+						visit(v.Names[i], v.Values[i])
+					}
+				}
+			}
+			return true
+		})
+	}
+	// Aliases first, to a fixpoint: the scan below is flow-insensitive.
+	for grew := true; grew; {
+		grew = false
+		pairs(func(lhs, rhs ast.Expr) {
+			if id, ok := ast.Unparen(lhs).(*ast.Ident); ok && derived(rhs) {
+				if w := localVarOf(p, id); w != nil && local(w) && !tainted[w] {
+					tainted[w], grew = true, true
+				}
+			}
+		})
+	}
+
+	var out []Finding
+	report := func(pos token.Pos, how string) {
+		out = append(out, p.findingf("buffer-reuse", pos,
+			"listener payload %s is %s — it is only borrowed for the callback (the sweep recycles the buffer on return): copy what must outlive the call",
+			payload.Name(), how))
+	}
+	pairs(func(lhs, rhs ast.Expr) {
+		if !derived(rhs) {
+			return
+		}
+		if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
+			if w := localVarOf(p, id); w == nil || local(w) {
+				return // an alias (or the blank identifier)
+			}
+		}
+		report(lhs.Pos(), "stored in "+types.ExprString(lhs)+", which outlives the callback")
+	})
+	ast.Inspect(body, func(node ast.Node) bool {
+		switch v := node.(type) {
+		case *ast.SendStmt:
+			if derived(v.Value) {
+				report(v.Pos(), "sent on a channel")
+			}
+		case *ast.CallExpr:
+			if isBuiltin(p, v, "append") && !v.Ellipsis.IsValid() {
+				for _, a := range v.Args[1:] {
+					if derived(a) {
+						report(a.Pos(), "appended as an element")
+					}
+				}
+			}
+		case *ast.CompositeLit:
+			for _, el := range v.Elts {
+				if kv, ok := el.(*ast.KeyValueExpr); ok {
+					el = kv.Value
+				}
+				if derived(el) {
+					report(el.Pos(), "stored in a composite literal")
+				}
+			}
+		case *ast.GoStmt:
+			uses := false
+			ast.Inspect(v.Call, func(inner ast.Node) bool {
+				if e, ok := inner.(ast.Expr); ok && derived(e) {
+					uses = true
+				}
+				return !uses
+			})
+			if uses {
+				report(v.Pos(), "handed to a goroutine")
+			}
+		}
+		return true
+	})
+	return out
 }

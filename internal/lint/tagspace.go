@@ -43,9 +43,11 @@ var TagSpace = &Analyzer{
 // registryPath is the package that declares every reserved block.
 const registryPath = "hcmpi/internal/mpi"
 
-// tagSendCallees / tagRecvCallees classify tag-parameter APIs by name.
+// tagSendCallees / tagRecvCallees classify tag-parameter APIs by name
+// (NewOutbox: everything appended to an outbox is sent on its tag).
 var tagSendCallees = map[string]bool{
 	"Send": true, "Isend": true, "SendReserved": true, "IsendReserved": true,
+	"NewOutbox": true,
 }
 var tagRecvCallees = map[string]bool{
 	"Recv": true, "Irecv": true, "IrecvReserved": true, "Listen": true,

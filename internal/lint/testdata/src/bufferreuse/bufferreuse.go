@@ -119,3 +119,49 @@ func okFreshBufferEachPost(c *Comm) {
 		buf[0] = byte(i)
 	}
 }
+
+// ---- listener payloads are borrowed for the callback only ----
+
+type Node struct {
+	last []byte
+	log  [][]byte
+	ch   chan []byte
+}
+
+func (n *Node) Listen(tag int, fn func(src int, payload []byte)) {}
+
+type record struct{ body []byte }
+
+func consume(b []byte) {}
+
+func retainInLiteral(n *Node) []byte {
+	var kept []byte
+	n.Listen(-1, func(_ int, payload []byte) {
+		kept = payload // want: stored in a captured variable
+	})
+	return kept
+}
+
+func (n *Node) onMsg(src int, payload []byte) {
+	body := payload[8:]            // an alias is fine by itself
+	n.last = body                  // want: stored in a field
+	n.log = append(n.log, payload) // want: appended as an element
+	n.ch <- payload[:4]            // want: sent on a channel
+	_ = record{body: body}         // want: stored in a composite literal
+	go consume(payload)            // want: handed to a goroutine
+}
+
+func retainInMethod(n *Node) { n.Listen(-2, n.onMsg) }
+
+func (n *Node) okCopies(src int, payload []byte) {
+	n.last = append(n.last[:0], payload...) // copies the bytes
+	own := make([]byte, len(payload))
+	copy(own, payload)
+	n.last = own
+	for ; len(payload) >= 8; payload = payload[8:] {
+		consume(payload[:8]) // callees may read it
+	}
+	n.log = append(n.log, append([]byte(nil), payload...))
+}
+
+func okListen(n *Node) { n.Listen(-3, n.okCopies) }

@@ -41,7 +41,7 @@ func (c *Comm) SetDeadline(d time.Duration) { c.deadline.Store(int64(d)) }
 // with ErrTimeout (the message itself may still be in flight).
 func (c *Comm) IsendTimeout(buf []byte, dest, tag int, d time.Duration) *Request {
 	checkUserTag(tag)
-	return c.isendOpts(buf, dest, tag, 0, d)
+	return c.isendOpts(buf, dest, tag, false, 0, d)
 }
 
 // IrecvTimeout is Irecv with a per-request deadline: if no matching

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"bytes"
 	"errors"
 	"sync"
 	"testing"
@@ -215,5 +216,39 @@ func TestCancelDeliverRaceHasOneWinner(t *testing.T) {
 			// independent.
 			c0.Recv(buf, 1, 4)
 		}
+	}
+}
+
+// A dropped owned send hands its buffer back, intact and not recycled,
+// so the caller can send the very same bytes again.
+func TestOwnedSendDropReturnsBuffer(t *testing.T) {
+	const tag = -78 // a spare reserved tag
+	// The first message on the 0→1 link falls into a partition window.
+	w := NewWorld(2, WithFaults(netsim.Faults{Partitions: []netsim.Partition{{Src: 0, Dst: 1, From: 0, To: 1}}}))
+	defer w.Close()
+	c0, c1 := w.Comm(0), w.Comm(1)
+	buf := c0.Buffers().Get(100)
+	copy(buf, "the same bytes")
+	r := c0.IsendReservedOwned(buf, 1, tag)
+	if st := r.WaitStatus(); !errors.Is(st.Err, ErrMessageDropped) {
+		t.Fatalf("first send: %+v, want ErrMessageDropped", st)
+	}
+	r.Free()
+	if other := c0.Buffers().Get(100); &other[0] == &buf[0] {
+		t.Fatal("the dropped send's buffer was recycled while its sender still owns it")
+	}
+	r = c0.IsendReservedOwned(buf, 1, tag)
+	got := c1.IrecvReserved(0, tag)
+	got.WaitStatus()
+	if st := r.WaitStatus(); st.Err != nil || !bytes.HasPrefix(got.Payload(), []byte("the same bytes")) {
+		t.Fatalf("resend: %+v, delivered %q", st, got.Payload())
+	}
+	if &got.Payload()[0] != &buf[0] {
+		t.Error("the owned buffer was copied on the netsim fast path")
+	}
+	r.Free()
+	got.FreeWithPayload()
+	if back := c0.Buffers().Get(100); &back[0] != &buf[0] {
+		t.Error("the borrowed payload did not return to the pool")
 	}
 }

@@ -181,7 +181,8 @@ type Comm struct {
 	// stages its own copy of buf and owns completing req (the TCP mesh's
 	// asynchronous enqueue). It takes precedence over both the pooled
 	// netsim fast path and the sendFn slow path.
-	sendHook func(req *Request, buf []byte, dest, tag int)
+	// With owned set, buf is a pool buffer the hook takes over as is.
+	sendHook func(req *Request, buf []byte, dest, tag int, owned bool)
 	// failedFn reports whether a peer rank has crashed (nil: no failure
 	// detector).
 	failedFn func(rank int) bool
@@ -238,6 +239,11 @@ type Comm struct {
 // Metrics exposes this endpoint's counter registry (request/buffer pool
 // hit rates; comm_tcp_* transport counters on distributed comms).
 func (c *Comm) Metrics() *trace.Metrics { return c.metrics }
+
+// Buffers exposes the transport's payload pool, for runtime protocols
+// that build messages in place and send them with IsendReservedOwned.
+// Nil on a transport without one; a nil pool allocates.
+func (c *Comm) Buffers() *bufpool.Pool { return c.bufs }
 
 type inMsg struct {
 	src, tag int

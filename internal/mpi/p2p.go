@@ -61,9 +61,12 @@ type Request struct {
 	src, tag int
 	buf      []byte
 	// takeAll, when set, makes the receive adopt the full payload slice
-	// (used by RecvBytes for variable-size messages).
+	// (used by RecvBytes for variable-size messages). pooled records that
+	// the adopted slice came from the transport's buffer pool, so a
+	// receiver that only borrows it can hand it back (FreeWithPayload).
 	takeAll bool
 	payload []byte
+	pooled  bool
 }
 
 // maxReqPool bounds each endpoint's recycled-request list.
@@ -113,6 +116,7 @@ func (r *Request) Free() {
 	r.status = Status{}
 	r.buf = nil
 	r.payload = nil
+	r.pooled = false
 	r.takeAll = false
 	r.waiters = r.waiters[:0]
 	r.mu.Unlock()
@@ -138,18 +142,17 @@ func (r *Request) complete(st Status) {
 
 // completeGen is complete fenced by a generation: a stale caller (the
 // request was freed and possibly reissued since the caller captured
-// gen) is a no-op.
-func (r *Request) completeGen(gen uint64, st Status) {
+// gen) is a no-op. It reports whether st became the request's status.
+func (r *Request) completeGen(gen uint64, st Status) bool {
 	r.mu.Lock()
-	if r.gen.Load() == gen {
-		r.completeLocked(st)
-	}
+	won := r.gen.Load() == gen && r.completeLocked(st)
 	r.mu.Unlock()
+	return won
 }
 
-func (r *Request) completeLocked(st Status) {
+func (r *Request) completeLocked(st Status) bool {
 	if r.completed {
-		return
+		return false
 	}
 	r.status = st
 	r.completed = true
@@ -168,6 +171,7 @@ func (r *Request) completeLocked(st Status) {
 		}
 	}
 	r.waiters = r.waiters[:0]
+	return true
 }
 
 // isDone reports completion without consuming anything.
@@ -266,6 +270,25 @@ func (r *Request) WaitStatus() Status {
 
 // Payload returns the adopted payload of a RecvBytes-style request.
 func (r *Request) Payload() []byte { return r.payload }
+
+// FreeWithPayload is Free for a receiver that only borrowed the adopted
+// payload: a payload staged in the transport's buffer pool (the netsim
+// fast path, the TCP mesh's receive staging) goes back to the pool, so
+// the caller must hold no reference into it. Anything else — a slice
+// the fault plane may deliver twice — is left to the GC as Free does.
+// Under the debug build tag the recycled bytes are poisoned first, so a
+// retained sub-slice reads 0xDB instead of a later message.
+func (r *Request) FreeWithPayload() {
+	if r.pooled {
+		if invariant.Enabled {
+			for i := range r.payload {
+				r.payload[i] = 0xDB
+			}
+		}
+		r.comm.bufs.Put(r.payload)
+	}
+	r.Free()
+}
 
 // unpost removes r from the posted-receive queue and reports whether the
 // caller won it. The posted queue is the single commit point for receive
@@ -431,7 +454,7 @@ func (c *Comm) Isend(buf []byte, dest, tag int) *Request {
 // isend is the tag-unchecked variant used by collectives and runtime
 // protocols (which use reserved tags).
 func (c *Comm) isend(buf []byte, dest, tag int) *Request {
-	return c.isendOpts(buf, dest, tag, 0, 0)
+	return c.isendOpts(buf, dest, tag, false, 0, 0)
 }
 
 // collSendRetries bounds the automatic retransmission the collective
@@ -445,7 +468,7 @@ const collSendRetries = 64
 // drop; the collective algorithms use it so a lossy fault plane cannot
 // hang a rendezvous.
 func (c *Comm) isendRetry(buf []byte, dest, tag int) *Request {
-	return c.isendOpts(buf, dest, tag, collSendRetries, 0)
+	return c.isendOpts(buf, dest, tag, false, collSendRetries, 0)
 }
 
 // sendOp carries one in-flight send through the simulated network as a
@@ -466,6 +489,7 @@ type sendOp struct {
 	tag     int
 	payload []byte
 	pooled  bool // payload came from the transport's buffer pool
+	owned   bool // payload is the sender's own buffer (IsendReservedOwned)
 	left    int  // remaining retransmissions
 }
 
@@ -528,17 +552,24 @@ func (s *sendOp) Drop() {
 		c.world.net.SendMsg(s.src, s.dest, len(s.payload), s)
 		return
 	}
-	s.req.completeGen(s.gen, Status{Source: s.src, Tag: s.tag, Err: ErrMessageDropped})
-	c.bufs.PutPooled(s.payload, s.pooled)
+	// An owned payload goes back to the sender with the drop verdict (it
+	// re-sends the same bytes) — unless a deadline got there first, in
+	// which case the sender has already written the buffer off.
+	won := s.req.completeGen(s.gen, Status{Source: s.src, Tag: s.tag, Err: ErrMessageDropped})
+	if !(won && s.owned) {
+		c.bufs.PutPooled(s.payload, s.pooled)
+	}
 	s.release()
 }
 
 // isendOpts is the send core: retries is how many times a dropped message
 // is retransmitted before the request fails with ErrMessageDropped, and
 // timeout (0 = Comm default via SetDeadline) bounds the whole operation.
+// With owned set, buf is a pool buffer the transport takes over instead
+// of staging a copy (see IsendReservedOwned).
 //
 //hclint:hotpath
-func (c *Comm) isendOpts(buf []byte, dest, tag int, retries int, timeout time.Duration) *Request {
+func (c *Comm) isendOpts(buf []byte, dest, tag int, owned bool, retries int, timeout time.Duration) *Request {
 	checkRank(dest, c.size)
 	exit := c.enter()
 	req := c.newRequest(reqSend)
@@ -547,18 +578,25 @@ func (c *Comm) isendOpts(buf []byte, dest, tag int, retries int, timeout time.Du
 	c.ring.Emit(trace.EvSendPost, int64(dest), int64(tag))
 	if c.failed(dest) {
 		req.failPeerSend(src, tag)
+		if owned {
+			c.bufs.Put(buf)
+		}
 		exit()
 		return req
 	}
 	if c.sendHook != nil {
-		c.sendHook(req, buf, dest, tag)
+		c.sendHook(req, buf, dest, tag, owned)
 	} else if c.fastSend {
 		s := c.newSendOp()
 		s.c, s.req, s.gen = c, req, req.gen.Load()
 		s.src, s.dest, s.tag = src, dest, tag
-		s.payload = c.bufs.Get(len(buf))
-		s.pooled = c.bufs != nil
-		copy(s.payload, buf)
+		s.pooled, s.owned = c.bufs != nil, owned
+		if owned {
+			s.payload = buf
+		} else {
+			s.payload = c.bufs.Get(len(buf))
+			copy(s.payload, buf)
+		}
 		s.left = retries
 		c.world.net.SendMsg(src, dest, len(s.payload), s)
 	} else {
@@ -675,9 +713,9 @@ func (c *Comm) irecvOpts(buf []byte, src, tag int, takeAll bool, timeout time.Du
 
 // fill copies (or adopts) a matched message into the request and
 // completes it. A pooled payload goes back to the transport's buffer
-// pool once copied; adopted payloads leave the pool's custody (the
-// caller owns them, so they fall to the GC instead — never
-// double-recycled).
+// pool once copied; an adopted payload leaves the pool's custody with
+// the request, whose owner either keeps it (Free: it falls to the GC,
+// never double-recycled) or hands it back (FreeWithPayload).
 //
 //hclint:hotpath
 func (r *Request) fill(m inMsg) {
@@ -685,7 +723,7 @@ func (r *Request) fill(m inMsg) {
 	var st Status
 	st.Source, st.Tag = m.src, m.tag
 	if r.takeAll {
-		r.payload = m.payload
+		r.payload, r.pooled = m.payload, m.pooled
 		st.Bytes = len(m.payload)
 	} else {
 		n := copy(r.buf, m.payload)

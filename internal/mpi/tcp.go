@@ -326,18 +326,23 @@ func (m *tcpMesh) connect(addrs []string) ([]net.Conn, error) {
 	return conns, nil
 }
 
-// send is the Comm's sendHook: stage a copy of buf in the pool and
-// either deliver it locally (loopback) or enqueue it on the peer's
-// outbound queue. It returns as soon as the frame is queued; the
-// writer's post-flush callback completes the request ("handed to the
-// OS", the closest observable analogue of MPI's eager-send completion).
-func (m *tcpMesh) send(req *Request, buf []byte, dest, tag int) {
+// send is the Comm's sendHook: stage a copy of buf in the pool (an owned
+// buf is a pool buffer already and is taken as is) and either deliver
+// it locally (loopback) or enqueue it on the peer's outbound queue. It
+// returns as soon as the frame is queued; the writer's post-flush
+// callback completes the request ("handed to the OS", the closest
+// observable analogue of MPI's eager-send completion).
+func (m *tcpMesh) send(req *Request, buf []byte, dest, tag int, owned bool) {
 	gen := req.gen.Load()
 	n := len(buf)
-	// Always stage a copy, loopback included: the caller may reuse buf the
-	// moment Isend returns, exactly as on the netsim transport.
-	payload := m.bufs.Get(n)
-	copy(payload, buf)
+	// Otherwise always stage a copy, loopback included: the caller may
+	// reuse buf the moment Isend returns, exactly as on the netsim
+	// transport.
+	payload := buf
+	if !owned {
+		payload = m.bufs.Get(n)
+		copy(payload, buf)
+	}
 	if dest == m.rank {
 		m.comm.deliver(inMsg{src: m.rank, tag: tag, payload: payload, pooled: true})
 		req.completeGen(gen, Status{Source: m.rank, Tag: tag, Bytes: n})

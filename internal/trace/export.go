@@ -130,8 +130,12 @@ func convertTrack(te TrackEvents) []chromeEvent {
 					Cat: "commop", ID: e.A})
 			}
 		default:
+			args := instantArgs(e)
+			if e.Kind == EvSendPost && te.Kind != TrackMPI { // an aggregated frame, not an endpoint post
+				args = map[string]any{"peer": e.A, "records": e.B}
+			}
 			out = append(out, chromeEvent{Name: e.Kind.String(), Ph: "i", Ts: usec(e.TS),
-				Pid: te.Pid, Tid: te.Tid, S: "t", Args: instantArgs(e)})
+				Pid: te.Pid, Tid: te.Tid, S: "t", Args: args})
 		}
 	}
 	for depth > 0 {

@@ -55,7 +55,9 @@ const (
 	EvCommBusyStart
 	EvCommBusyEnd
 
-	// MPI endpoint events (per-rank mpi track). A = peer, B = tag.
+	// MPI endpoint events (per-rank mpi track). A = peer, B = tag. On a
+	// comm-worker track EvSendPost marks an aggregated frame (hcmpi.Outbox)
+	// leaving instead: A = peer, B = records in the frame.
 	EvSendPost // Isend issued
 	EvRecvPost // Irecv posted
 	EvMatch    // receive matched a message (posted or unexpected path)
