@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 tier1-debug verify test chaos lint lint-sarif lint-fix-check vet trace-demo bench bench-smoke conformance smoke-distributed
+.PHONY: tier1 tier1-debug verify test chaos soak lint lint-sarif lint-fix-check vet trace-demo bench bench-smoke conformance smoke-distributed
 
 # Fast correctness gate: what the seed repo guarantees.
 tier1:
@@ -32,6 +32,15 @@ test:
 chaos:
 	$(GO) test -race -count=1 -run 'Chaos|IdleHook|TestBlock|RecycleStress|TestFault|TestOutbox|TestBurst|Test.*(Drop|Partition|Crash|Stall|Cancel)' \
 		./internal/netsim/ ./internal/mpi/ ./internal/hc/ ./internal/hcmpi/ ./internal/dddf/ ./internal/distsched/
+
+# Soak for the one-in-10⁴ class (ROADMAP item 2): the shape distsched's
+# early termination was found in — 20 000 short UTS jobs at 2 ranks × 2
+# workers on 4 Ps, each checked against the sequential node count —
+# then the census tests (the deterministic frame-in-hand cases and the
+# 2 × 4-worker soak) 200 times over under the race detector.
+soak:
+	$(GO) test -run '^$$' -bench BenchmarkRealUTSHCMPI -benchtime 20000x -cpu 4 .
+	$(GO) test -race -count=200 -run 'TestCensus' ./internal/distsched/ ./internal/uts/
 
 # Cross-transport conformance: the p2p/collectives/RMA/hcmpi/DDDF
 # corpora over both backends (netsim and the TCP loopback mesh), plus

@@ -41,9 +41,9 @@ import (
 )
 
 // Handler executes one migratable task. The payload is valid only for
-// the duration of the call (migrated payloads live in pooled buffers
-// that are recycled when the handler returns); a handler that needs the
-// bytes afterwards must copy them.
+// the duration of the call (spawned and migrated payloads live in
+// pooled buffers that are recycled when the handler returns); a handler
+// that needs the bytes afterwards must copy them.
 type Handler func(tc *TaskCtx, payload []byte)
 
 // Config parameterizes a Scheduler.
@@ -83,9 +83,7 @@ type Scheduler struct {
 	incoming *deque.Stack[frame]   // migrated frames parked by the listener
 	inject   *deque.Stack[frame]   // Submit'ed seed frames
 
-	idle        atomic.Int32
-	exporting   atomic.Int32 // listener mid-harvest: blocks quiescence probes
-	outstanding atomic.Bool  // a remote steal is in flight
+	outstanding atomic.Bool // a remote steal is in flight
 	stealSince  atomic.Int64
 	done        atomic.Bool
 
@@ -105,6 +103,10 @@ type Scheduler struct {
 
 	ring *trace.Ring
 	ctr  counters
+
+	// taken, when a test sets it, is called by a driver holding a frame
+	// it has taken but not yet run — the window the census must cover.
+	taken func(wid int)
 }
 
 type pendingSend struct {
@@ -201,26 +203,46 @@ func (s *Scheduler) Register(kind string, h Handler) {
 }
 
 // Submit seeds a task before Run (typically on the rank that owns the
-// root of the computation). The payload is caller-owned and must not be
-// mutated until the job completes.
+// root of the computation). The payload stays caller-owned — the
+// scheduler never recycles it — and must not be mutated until the job
+// completes.
 func (s *Scheduler) Submit(kind string, payload []byte) {
-	idx, ok := s.kindIndex[kind]
-	if !ok {
-		panic("distsched: Submit of unregistered kind " + kind)
-	}
+	idx := s.kindOf(kind, "Submit")
 	s.ctr.spawned.Add(1)
 	s.inject.Push(&frame{id: s.nextID(), kind: idx, payload: payload})
+}
+
+// kindOf resolves a registered kind to its wire index; op names the
+// caller in the panic an unregistered kind is answered with.
+func (s *Scheduler) kindOf(kind, op string) uint16 {
+	idx, ok := s.kindIndex[kind]
+	if !ok {
+		panic("distsched: " + op + " of unregistered kind " + kind)
+	}
+	return idx
 }
 
 func (s *Scheduler) nextID() int64 {
 	return int64(s.node.Rank())<<frameIDRankShift | s.seq.Add(1)
 }
 
-// TaskCtx is a handler's execution context.
+// TaskCtx is a handler's execution context: one per driver, so nothing
+// in it is shared between workers.
 type TaskCtx struct {
-	s   *Scheduler
-	wid int
-	rng *rand.Rand
+	s    *Scheduler
+	wid  int
+	rng  *rand.Rand
+	free *deque.FreeList[frame] // executed frames, reused by Spawn
+	// pool recycles the payloads of the frames this driver runs into
+	// the frames it spawns. It is the driver's own: with a second worker
+	// on the rank a shared pool's lock cost a fifth of a UTS solve.
+	pool *bufpool.Pool
+}
+
+func (s *Scheduler) newTaskCtx(wid int) *TaskCtx {
+	return &TaskCtx{s: s, wid: wid,
+		rng:  rand.New(rand.NewSource(int64(s.node.Rank()*1009+wid)*6151 + 17)),
+		free: deque.NewFreeList[frame](frameListCap), pool: bufpool.New()}
 }
 
 // Rank returns the executing rank.
@@ -230,16 +252,30 @@ func (tc *TaskCtx) Rank() int { return tc.s.node.Rank() }
 // [0, Node.Workers()) — handlers key worker-local state off it.
 func (tc *TaskCtx) Worker() int { return tc.wid }
 
+// Buffer returns an n-byte pooled payload buffer, to be filled and
+// handed to Spawn; the scheduler takes it back when the spawned frame
+// has run (or has been copied into a steal grant).
+func (tc *TaskCtx) Buffer(n int) []byte { return tc.pool.Get(n) }
+
 // Spawn makes a new migratable task visible to local peers and remote
-// thieves. The payload is owned by the scheduler from this point on.
+// thieves. The payload — from Buffer, or any slice the caller gives up
+// whole — is owned by the scheduler from this point on: it is recycled
+// once the frame's handler returns, so the caller must keep no
+// reference to it or to its backing array.
+//
+//hclint:hotpath
 func (tc *TaskCtx) Spawn(kind string, payload []byte) {
 	s := tc.s
-	idx, ok := s.kindIndex[kind]
+	idx := s.kindOf(kind, "Spawn")
+	f, ok := tc.free.Get()
 	if !ok {
-		panic("distsched: Spawn of unregistered kind " + kind)
+		f = newFrame()
 	}
+	f.id, f.kind, f.payload, f.owned = s.nextID(), idx, payload, true
+	// Counted before it is published: quiescent() may never see a frame
+	// it cannot account for.
 	s.ctr.spawned.Add(1)
-	s.local[tc.wid].Push(&frame{id: s.nextID(), kind: idx, payload: payload})
+	s.local[tc.wid].Push(f)
 }
 
 // Run executes until global termination (every rank quiescent, proven
@@ -311,54 +347,27 @@ func (s *Scheduler) Stats() Stats {
 
 // --- driver loops (computation workers) ---
 
-// drive is one worker's scheduling loop: local deque, migrated work,
-// seed queue, intra-node steal-half, then — rank dry — the idle path:
-// remote steal, protocol-failure sweep, termination token.
+// drive is one worker's scheduling loop: run what take finds, and when
+// the rank is dry go searching.
 func (s *Scheduler) drive(wid int) {
-	tc := &TaskCtx{s: s, wid: wid,
-		rng: rand.New(rand.NewSource(int64(s.node.Rank()*1009+wid)*6151 + 17))}
-	idle := false
-	setIdle := func(b bool) {
-		if b != idle {
-			idle = b
-			if b {
-				s.idle.Add(1)
-			} else {
-				s.idle.Add(-1)
-			}
-		}
-	}
-	idleRounds := 0
+	tc := s.newTaskCtx(wid)
 	for !s.done.Load() {
-		if f, ok := s.local[wid].Pop(); ok {
-			setIdle(false)
-			idleRounds = 0
+		if f, ok := s.take(tc); ok {
 			s.exec(tc, f)
 			continue
 		}
-		if f, ok := s.incoming.Pop(); ok {
-			setIdle(false)
-			idleRounds = 0
-			s.exec(tc, f)
-			continue
-		}
-		if f, ok := s.inject.Pop(); ok {
-			setIdle(false)
-			idleRounds = 0
-			s.exec(tc, f)
-			continue
-		}
-		if f, ok := s.stealLocal(wid, tc.rng); ok {
-			setIdle(false)
-			idleRounds = 0
-			s.exec(tc, f)
-			continue
-		}
+		s.search(tc)
+	}
+}
 
-		// Rank-local work exhausted: join the idle census as a level
-		// signal, then look outward.
-		t0 := time.Now()
-		setIdle(true)
+// search is the idle path: remote steal, protocol-failure sweep,
+// termination token, back off, look again — until take finds a frame
+// (which it runs) or the job is done. The whole stay is one interval of
+// search time: the clock is read on the way in and on the way out, not
+// per round.
+func (s *Scheduler) search(tc *TaskCtx) {
+	t0 := time.Now()
+	for rounds := 1; !s.done.Load(); rounds++ {
 		if s.node.Size() == 1 {
 			if s.quiescent() {
 				s.done.Store(true)
@@ -368,28 +377,59 @@ func (s *Scheduler) drive(wid int) {
 			s.maybeSteal(tc.rng)
 			s.tryToken()
 		}
-		// Spin-then-park, like the comm worker: yield for the first idle
-		// rounds (a grant or spill may land any microsecond; sleeping here
-		// costs ~1ms of reaction latency at kernel timer granularity),
-		// then park once the rank looks durably dry.
-		idleRounds++
-		if idleRounds < 256 {
+		// Yield while a grant or a peer's spill may land any microsecond,
+		// then sleep once the rank looks durably dry. The sleep asks for
+		// 20µs and gets the kernel's timer tick (≈1.1ms here); DESIGN.md
+		// §13 has the measurement that chose the pair.
+		if rounds < 256 {
 			runtime.Gosched()
 		} else {
 			time.Sleep(20 * time.Microsecond)
 		}
-		s.searchNanos.Add(int64(time.Since(t0)))
+		if f, ok := s.take(tc); ok {
+			s.searchNanos.Add(int64(time.Since(t0)))
+			s.exec(tc, f)
+			return
+		}
 	}
-	setIdle(false)
+	s.searchNanos.Add(int64(time.Since(t0)))
 }
 
-func (s *Scheduler) exec(tc *TaskCtx, f *frame) {
-	h := s.kinds[f.kind]
-	h(tc, f.payload)
-	if f.pooled {
-		s.pool.Put(f.payload)
+// take finds the driver's next frame: its own deque, migrated work, the
+// seed queue, then steal-half from an intra-node peer.
+func (s *Scheduler) take(tc *TaskCtx) (*frame, bool) {
+	if f, ok := s.local[tc.wid].Pop(); ok {
+		return f, true
 	}
+	if f, ok := s.incoming.Pop(); ok {
+		return f, true
+	}
+	if f, ok := s.inject.Pop(); ok {
+		return f, true
+	}
+	return s.stealLocal(tc.wid, tc.rng)
+}
+
+// exec runs one frame and retires it. A frame made by Spawn or by a
+// steal grant is the scheduler's, payload and struct alike: the payload
+// goes to the driver's pool, the struct to its free list. A Submit seed
+// is the caller's payload in a one-off struct, and is left alone.
+// executed is bumped only after the handler has returned and its spawns
+// are counted, so a frame in a driver's hand is never invisible to
+// quiescent().
+//
+//hclint:hotpath
+func (s *Scheduler) exec(tc *TaskCtx, f *frame) {
+	if s.taken != nil {
+		s.taken(tc.wid)
+	}
+	s.kinds[f.kind](tc, f.payload)
 	s.ctr.executed.Add(1)
+	if f.owned {
+		tc.pool.Put(f.payload)
+		f.payload = nil
+		tc.free.Put(f)
+	}
 }
 
 // stealLocal moves half a peer driver's deque into ours (StealBatch)
@@ -504,27 +544,21 @@ func (s *Scheduler) fail(peer int, cause error) {
 
 // --- quiescence & termination ---
 
-// quiescent reports whether this rank holds no executable work: every
-// driver idle (the caller being one of them), nothing migrated or
-// seeded waiting, every local deque empty, and no listener mid-export.
+// quiescent reports whether this rank holds no frame anywhere — queued,
+// in a driver's hand, running, or mid-export — from the conservation
+// counters alone: every frame is counted into spawned or migrated before
+// it is published and into executed or exported only after it is
+// retired (exported only after the Safra WorkSent), so retired ==
+// created means nothing is outstanding. The retired side is read first:
+// all four counters only grow, so a frame created between the two reads
+// makes the sums differ rather than agree. (dropped is the fifth term of
+// the invariant; it moves only in drainAbandoned, after the drivers.)
 // An outstanding remote steal does NOT block quiescence — idle ranks
 // steal continuously, and the Safra deficit covers in-flight work.
 func (s *Scheduler) quiescent() bool {
-	if int(s.idle.Load()) != len(s.local) {
-		return false
-	}
-	if s.exporting.Load() != 0 {
-		return false
-	}
-	if s.incoming.Size() > 0 || s.inject.Size() > 0 {
-		return false
-	}
-	for _, d := range s.local {
-		if !d.Empty() {
-			return false
-		}
-	}
-	return true
+	retired := s.ctr.executed.Load() + s.ctr.exported.Load()
+	created := s.ctr.spawned.Load() + s.ctr.migrated.Load()
+	return retired == created
 }
 
 // tryToken drives the termination ring from an idle driver.
@@ -560,7 +594,7 @@ func (s *Scheduler) tryToken() {
 func (s *Scheduler) drainAbandoned() {
 	n := int64(0)
 	take := func(f *frame) {
-		if f.pooled {
+		if f.owned {
 			s.pool.Put(f.payload)
 		}
 		n++
@@ -596,36 +630,33 @@ func (s *Scheduler) drainAbandoned() {
 // --- listener callbacks (communication worker) ---
 
 // onStealReq answers a remote thief: steal-half of this rank's queued
-// frames (capped at MaxBatch), or a deny. The exporting census makes
-// the harvest atomic with the Safra WorkSent with respect to token
-// quiescence probes — without it a token could slip between "frames
-// removed from the deques" and "deficit incremented" and terminate
-// early. Like every listener callback it runs ON the communication
-// worker, so it must never park.
+// frames (capped at MaxBatch), or a deny. Harvested frames stay counted
+// as outstanding until exported is bumped, and that happens only after
+// the Safra WorkSent — so no token can slip between "frames removed from
+// the deques" and "deficit incremented" and terminate early. Like every
+// listener callback it runs ON the communication worker, so it must
+// never park.
 //
 //hclint:nonblocking
 func (s *Scheduler) onStealReq(src int, _ []byte) {
 	s.ctr.reqRecv.Add(1)
 	s.cfg.Policy.Observe(src, 0) // requester is starving
-	s.exporting.Add(1)
 	fs, rest := s.harvest()
 	if len(fs) == 0 {
-		s.exporting.Add(-1)
 		s.ctr.deniesOut.Add(1)
 		s.ring.Emit(trace.EvDistDeny, int64(src), int64(rest))
 		s.track(s.node.SendReserved(encodeDeny(rest), src, tagStealDeny), src)
 		return
 	}
-	// Safra: count the work send BEFORE it leaves (and before the
-	// exporting census unblocks quiescence probes).
+	// Safra: count the work send BEFORE it leaves, and before exported
+	// lets quiescent() see the frames as gone.
 	s.bar.WorkSent()
-	s.exporting.Add(-1)
-	s.ctr.grantsOut.Add(1)
 	s.ctr.exported.Add(int64(len(fs)))
+	s.ctr.grantsOut.Add(1)
 	s.ring.Emit(trace.EvDistStealServe, int64(src), int64(len(fs)))
 	buf := encodeFrames(fs)
 	for _, f := range fs {
-		if f.pooled {
+		if f.owned {
 			s.pool.Put(f.payload)
 		}
 	}
@@ -690,11 +721,12 @@ func (s *Scheduler) onGrant(src int, payload []byte) {
 		s.done.Store(true)
 		return
 	}
+	// Counted before they are published (see quiescent).
+	s.ctr.migrated.Add(int64(len(fs)))
 	for _, f := range fs {
 		s.incoming.Push(f)
 	}
 	s.ctr.grantsIn.Add(1)
-	s.ctr.migrated.Add(int64(len(fs)))
 	// The victim granted half: assume it kept at least as much.
 	s.cfg.Policy.Observe(src, len(fs))
 	s.ring.Emit(trace.EvDistMigrate, int64(src), int64(len(fs)))

@@ -216,7 +216,7 @@ func TestFrameCodecRoundTrip(t *testing.T) {
 		if out[i].id != in[i].id || out[i].kind != in[i].kind || !bytes.Equal(out[i].payload, in[i].payload) {
 			t.Fatalf("frame %d mismatch: %+v vs %+v", i, out[i], in[i])
 		}
-		if len(out[i].payload) > 0 && !out[i].pooled {
+		if len(out[i].payload) > 0 && !out[i].owned {
 			t.Fatalf("frame %d payload not staged via pool", i)
 		}
 	}
@@ -235,4 +235,35 @@ func TestDoneAndDenyCodecs(t *testing.T) {
 	if got := decodeDeny(encodeDeny(77)); got != 77 {
 		t.Fatalf("deny: %d", got)
 	}
+}
+
+// TestSpawnExecAllocFree pins the frame cycle: once a driver has run a
+// frame, spawning the next one and running it allocates nothing — the
+// payload comes back from the driver's pool and the frame struct from
+// its free list.
+func TestSpawnExecAllocFree(t *testing.T) {
+	w := mpi.NewWorld(1)
+	w.Run(func(c *mpi.Comm) {
+		n := hcmpi.NewNode(c, hcmpi.Config{Workers: 1})
+		defer n.Close()
+		s := New(n, Config{})
+		ran := 0
+		s.Register("leaf", func(_ *TaskCtx, payload []byte) { ran += len(payload) })
+		tc := s.newTaskCtx(0)
+		cycle := func() {
+			tc.Spawn("leaf", tc.Buffer(192))
+			f, ok := s.take(tc)
+			if !ok {
+				t.Fatal("spawned frame not found")
+			}
+			s.exec(tc, f)
+		}
+		cycle() // the first frame and buffer are allocated
+		if avg := testing.AllocsPerRun(1000, cycle); avg != 0 {
+			t.Errorf("spawn+exec cycle: %v allocations, want 0", avg)
+		}
+		if ran != 1002*192 || !s.quiescent() {
+			t.Errorf("ran %d payload bytes, quiescent %v", ran, s.quiescent())
+		}
+	})
 }

@@ -48,8 +48,15 @@ type frame struct {
 	id      int64
 	kind    uint16
 	payload []byte
-	pooled  bool // payload came from the scheduler's bufpool
+	owned   bool // made by Spawn or a grant: payload and struct are the scheduler's to recycle; a Submit seed's are not
 }
+
+// frameListCap bounds each driver's list of executed frames kept for
+// Spawn to reuse (40 B each); past it they fall to the GC.
+const frameListCap = 256
+
+// newFrame is Spawn's slow path: the driver's free list was empty.
+func newFrame() *frame { return new(frame) }
 
 // frameIDRankShift packs the spawning rank into frame ids.
 const frameIDRankShift = 40
@@ -103,7 +110,7 @@ func decodeFrames(b []byte, pool *bufpool.Pool) ([]*frame, error) {
 		if plen > 0 {
 			f.payload = pool.Get(plen)
 			copy(f.payload, b[off:off+plen])
-			f.pooled = true
+			f.owned = true
 		}
 		off += plen
 		fs = append(fs, f)

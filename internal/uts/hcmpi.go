@@ -17,12 +17,13 @@ import (
 // answer remote thieves.
 //
 // A migratable task is one chunk of tree nodes (EncodeNodes payload).
-// The handler explores its chunk depth-first in PollInterval slices and
-// spills the bottom of its private stack as fresh tasks whenever it can
-// spare a chunk — those tasks feed intra-node deque steals and
-// inter-node steal-half grants alike. Global termination is the
-// scheduler's Safra ring; the hand-rolled protocol this file used to
-// carry (tags -301..-304) is gone.
+// The handler decodes it onto the worker's persistent stack, explores
+// depth-first in PollInterval slices and spills the bottom of the stack
+// as fresh tasks whenever it can spare a chunk — encoded straight from
+// the stack into a pooled payload buffer; those tasks feed intra-node
+// deque steals and inter-node steal-half grants alike. Global
+// termination is the scheduler's Safra ring; the hand-rolled protocol
+// this file used to carry (tags -301..-304) is gone.
 
 // RunHCMPI executes UTS on one HCMPI node and returns the node's
 // aggregated counters. All ranks must call it (SPMD). It owns the
@@ -53,33 +54,50 @@ func RunHCMPIIn(n *hcmpi.Node, ctx *hc.Ctx, cfg Config, p Params) (Counters, err
 	return runHCMPIOn(distsched.New(n, distsched.Config{}), ctx, cfg, p)
 }
 
+// hcmpiWorker is one driver's UTS state. Frames on one worker run one
+// after the other, so it needs no lock.
+type hcmpiWorker struct {
+	cfg   *Config
+	p     Params
+	stack nodeStack
+	ctr   Counters
+}
+
+// runFrame is the "uts" task: count the subtrees under the payload's
+// nodes, spilling what the stack can spare. The clock is read when the
+// frame begins and ends and around each spill (steal.go's rule).
+//
+//hclint:hotpath
+func (w *hcmpiWorker) runFrame(tc *distsched.TaskCtx, payload []byte) {
+	t0, spilling := now(), time.Duration(0)
+	w.stack.decode(payload)
+	for w.stack.len() > 0 {
+		w.stack.expand(w.cfg, w.p.PollInterval, &w.ctr)
+		if w.stack.canRelease(w.p.Chunk) {
+			// Spill the oldest nodes as a migratable task: local peers
+			// steal it through the deques, remote thieves through the
+			// scheduler's grant protocol.
+			t := now()
+			buf := tc.Buffer(w.p.Chunk * encodedNodeSize)
+			tc.Spawn("uts", encodeNodes(buf, w.stack.releaseBottom(w.p.Chunk)))
+			spilling += now() - t
+		}
+	}
+	w.ctr.Overhead += spilling
+	w.ctr.Work += now() - t0 - spilling
+}
+
 // runHCMPIOn registers the UTS task kind, seeds the root, and drives
 // the scheduler to global termination.
 func runHCMPIOn(s *distsched.Scheduler, ctx *hc.Ctx, cfg Config, p Params) (Counters, error) {
-	p = p.normalized()
 	n := s.Node()
-	nw := n.Workers()
-	// Per-worker state, keyed by the executing driver: frames on one
-	// worker run sequentially, so no locks.
-	ctrs := make([]Counters, nw)
-	stacks := make([][]Node, nw)
+	p = p.normalized()
+	ws := make([]hcmpiWorker, n.Workers())
+	for i := range ws {
+		ws[i].cfg, ws[i].p = &cfg, p
+	}
 	s.Register("uts", func(tc *distsched.TaskCtx, payload []byte) {
-		wid := tc.Worker()
-		ctr := &ctrs[wid]
-		stack := append(stacks[wid][:0], DecodeNodes(payload)...)
-		for len(stack) > 0 {
-			stack = expandSlice(cfg, p.PollInterval, stack, ctr)
-			t0 := time.Now()
-			if chunk, rest, ok := splitBottom(stack, p.Chunk); ok {
-				stack = rest
-				// Spill the oldest nodes as a migratable task: local
-				// peers steal it through the deques, remote thieves
-				// through the scheduler's grant protocol.
-				tc.Spawn("uts", EncodeNodes(chunk))
-			}
-			ctr.Overhead += time.Since(t0)
-		}
-		stacks[wid] = stack[:0] // keep the capacity for the next frame
+		ws[tc.Worker()].runFrame(tc, payload)
 	})
 	if n.Rank() == 0 {
 		s.Submit("uts", EncodeNodes([]Node{cfg.Root()}))
@@ -87,8 +105,8 @@ func runHCMPIOn(s *distsched.Scheduler, ctx *hc.Ctx, cfg Config, p Params) (Coun
 	err := s.Run(ctx)
 
 	var out Counters
-	for i := range ctrs {
-		out.Add(ctrs[i])
+	for i := range ws {
+		out.Add(ws[i].ctr)
 	}
 	st := s.Stats()
 	out.Steals = st.GrantsIn

@@ -35,11 +35,12 @@ const (
 // `threads` threads. The world should use one rank per node.
 func RunHybrid(c *mpi.Comm, cfg Config, p Params, threads int, mode HybridMode) Counters {
 	h := &hybridRun{
-		comm: c, cfg: cfg, p: p.normalized(), threads: threads, mode: mode,
+		comm: c, cfg: &cfg, p: p.normalized(), threads: threads, mode: mode,
 		rng: rand.New(rand.NewSource(int64(c.Rank())*104729 + 71)),
 	}
 	h.poolCond = sync.NewCond(&h.poolMu)
 	h.bar = distsched.NewBarrier(c.Rank(), c.Size())
+	h.wire = make([]byte, h.p.Chunk*encodedNodeSize)
 	if c.Rank() == 0 {
 		h.pool = append(h.pool, []Node{cfg.Root()})
 	}
@@ -49,7 +50,7 @@ func RunHybrid(c *mpi.Comm, cfg Config, p Params, threads int, mode HybridMode) 
 
 type hybridRun struct {
 	comm    *mpi.Comm
-	cfg     Config
+	cfg     *Config
 	p       Params
 	threads int
 	mode    HybridMode
@@ -58,10 +59,12 @@ type hybridRun struct {
 	poolMu   sync.Mutex
 	poolCond *sync.Cond
 	pool     [][]Node
+	spare    [][]Node // emptied chunk slices, reused by the next offload
 	idle     int
 	done     bool
 
 	commMu      sync.Mutex // funnels MPI calls through one thread at a time
+	wire        []byte     // steal-response staging (commMu); Isend copies at post
 	outstanding bool
 	pendingResp *mpi.Request
 	// Safra termination detector (EWD998), shared with distsched.
@@ -99,8 +102,29 @@ type hybridThread struct {
 	run   *hybridRun
 	tid   int
 	rng   *rand.Rand
-	stack []Node
+	stack nodeStack
 	ctr   Counters
+}
+
+// takeChunk (poolMu held) pops the newest pool chunk onto the thread's
+// stack and keeps the emptied slice for reuse.
+func (w *hybridThread) takeChunk() {
+	h := w.run
+	chunk := h.pool[len(h.pool)-1]
+	h.pool = h.pool[:len(h.pool)-1]
+	copy(w.stack.buf[w.stack.reserve(len(chunk)):], chunk)
+	h.spare = append(h.spare, chunk[:0])
+}
+
+// putChunk (poolMu held) copies nodes — at most Chunk of them — into a
+// pool chunk and wakes idle teammates.
+func (h *hybridRun) putChunk(nodes []Node) {
+	var c []Node
+	if n := len(h.spare); n > 0 {
+		c, h.spare = h.spare[n-1], h.spare[:n-1]
+	}
+	h.pool = append(h.pool, append(c, nodes...))
+	h.poolCond.Broadcast()
 }
 
 func (w *hybridThread) loop() {
@@ -111,26 +135,22 @@ func (w *hybridThread) loop() {
 			h.poolMu.Unlock()
 			return
 		}
-		if len(w.stack) == 0 {
-			if len(h.pool) > 0 {
-				chunk := h.pool[len(h.pool)-1]
-				h.pool = h.pool[:len(h.pool)-1]
-				h.poolMu.Unlock()
-				w.stack = append(w.stack, chunk...)
-			} else {
-				// Idle thread: in the improved mode, kick off a global
-				// steal immediately (the paper's overlap), then wait
-				// cancellably.
-				h.poolMu.Unlock()
-				w.idlePhase()
-				continue
-			}
-		} else {
+		if len(h.pool) == 0 {
+			// Idle thread: in the improved mode, kick off a global
+			// steal immediately (the paper's overlap), then wait
+			// cancellably.
 			h.poolMu.Unlock()
+			w.idlePhase()
+			continue
 		}
+		w.takeChunk()
+		h.poolMu.Unlock()
 
-		for len(w.stack) > 0 {
-			w.explore()
+		// One busy stretch: Work is its length minus the offloads and
+		// served polls inside it.
+		t0, ovh := now(), w.ctr.Overhead
+		for w.stack.len() > 0 && !h.isDone() {
+			w.stack.expand(h.cfg, h.p.PollInterval, &w.ctr)
 			w.offload()
 			if h.mode == HybridImproved {
 				// Improved overlap: busy threads lend MPI progress every
@@ -139,40 +159,31 @@ func (w *hybridThread) loop() {
 				// structural weakness the paper calls out.
 				w.pollComm(false)
 			}
-			if h.isDone() {
-				return
-			}
 		}
+		w.ctr.Work += now() - t0 - (w.ctr.Overhead - ovh)
 	}
-}
-
-func (w *hybridThread) explore() {
-	w.stack = expandSlice(w.run.cfg, w.run.p.PollInterval, w.stack, &w.ctr)
 }
 
 // offload shares surplus work through the pool, waking idle teammates
 // (the barrier cancellation of the improved scheme).
 func (w *hybridThread) offload() {
 	h := w.run
-	c, rest, ok := splitBottom(w.stack, h.p.Chunk)
-	if !ok {
+	if !w.stack.canRelease(h.p.Chunk) {
 		return
 	}
-	t0 := time.Now()
-	w.stack = rest
+	t0 := now()
 	h.poolMu.Lock()
-	h.pool = append(h.pool, c)
-	h.poolCond.Broadcast()
+	h.putChunk(w.stack.releaseBottom(h.p.Chunk))
 	h.poolMu.Unlock()
-	w.ctr.Overhead += time.Since(t0)
+	w.ctr.Overhead += now() - t0
 }
 
 // idlePhase: the thread has nothing; overlap a global steal with whatever
 // computation remains on other threads, then wait for pool changes.
 func (w *hybridThread) idlePhase() {
 	h := w.run
-	t0 := time.Now()
-	defer func() { w.ctr.Search += time.Since(t0) }()
+	t0 := now()
+	defer func() { w.ctr.Search += now() - t0 }()
 
 	if h.mode == HybridImproved {
 		w.pollComm(true)
@@ -206,16 +217,22 @@ func (w *hybridThread) fullIdleComm() {
 
 // pollComm gives MPI progress to at most one thread at a time: service
 // steal requests (victim side), collect steal responses, receive tokens
-// and done. When wantSteal is set and no steal is outstanding, a new
-// request goes out.
+// and done. An idle thread (wantSteal) also issues a new request when
+// none is outstanding, and its poll is part of its search; a busy
+// thread's poll is overhead from the moment it finds something to serve.
 func (w *hybridThread) pollComm(wantSteal bool) {
 	h := w.run
 	if !h.commMu.TryLock() {
 		return
 	}
 	defer h.commMu.Unlock()
-	t0 := time.Now()
-	defer func() { w.ctr.Overhead += time.Since(t0) }()
+	var ovh lazyTimer
+	found := func() {
+		if !wantSteal {
+			ovh.start()
+		}
+	}
+	defer ovh.stop(&w.ctr.Overhead)
 
 	// Victim side: answer steal requests from the shared pool.
 	for {
@@ -223,6 +240,7 @@ func (w *hybridThread) pollComm(wantSteal bool) {
 		if !ok {
 			break
 		}
+		found()
 		var b [1]byte
 		h.comm.Recv(b[:0], st.Source, tagStealReq)
 		h.answerSteal(st.Source)
@@ -230,6 +248,7 @@ func (w *hybridThread) pollComm(wantSteal bool) {
 	// Thief side: collect an outstanding response.
 	if h.pendingResp != nil {
 		if st, ok := h.pendingResp.Test(); ok {
+			found()
 			if st.Bytes > 0 {
 				// Safra receipt rule: blacken before the work becomes
 				// executable.
@@ -256,11 +275,13 @@ func (w *hybridThread) pollComm(wantSteal bool) {
 	}
 	// Token and done.
 	if st, ok := h.comm.Iprobe(mpi.AnySource, tagToken); ok {
-		buf := make([]byte, 9)
-		h.comm.Recv(buf, st.Source, tagToken)
-		h.bar.TokenArrived(distsched.DecodeToken(buf))
+		found()
+		var buf [9]byte
+		h.comm.Recv(buf[:], st.Source, tagToken)
+		h.bar.TokenArrived(distsched.DecodeToken(buf[:]))
 	}
 	if _, ok := h.comm.Iprobe(mpi.AnySource, tagDone); ok {
+		found()
 		var b [1]byte
 		h.comm.Recv(b[:0], mpi.AnySource, tagDone)
 		h.setDone()
@@ -270,16 +291,18 @@ func (w *hybridThread) pollComm(wantSteal bool) {
 // answerSteal (commMu held): hand a pool chunk to the thief or reject.
 func (h *hybridRun) answerSteal(thief int) {
 	h.poolMu.Lock()
-	var chunk []Node
+	var msg []byte
 	if len(h.pool) > 1 { // keep one chunk for the team
-		chunk = h.pool[0]
+		chunk := h.pool[0]
 		h.pool = h.pool[1:]
+		msg = encodeNodes(h.wire[:len(chunk)*encodedNodeSize], chunk)
+		h.spare = append(h.spare, chunk[:0])
 	}
 	h.poolMu.Unlock()
-	if chunk != nil {
+	if msg != nil {
 		// Safra: count the work-carrying send before it leaves.
 		h.bar.WorkSent()
-		h.comm.Isend(EncodeNodes(chunk), thief, tagStealResp) //hclint:allow fire-and-forget control message: the eager transport copies at post and completes autonomously
+		h.comm.Isend(msg, thief, tagStealResp) //hclint:allow fire-and-forget control message: the eager transport copies at post and completes autonomously
 		h.ctrMu.Lock()
 		h.ctr.Released++
 		h.ctrMu.Unlock()

@@ -2,7 +2,6 @@ package uts
 
 import (
 	"math/rand"
-	"time"
 
 	"hcmpi/internal/distsched"
 	"hcmpi/internal/mpi"
@@ -36,7 +35,7 @@ const (
 // Counters.Nodes; callers typically wrap this with World.Run.
 func RunMPI(c *mpi.Comm, cfg Config, p Params) Counters {
 	w := &mpiWorker{
-		comm: c, cfg: cfg, p: p.normalized(),
+		comm: c, cfg: &cfg, p: p.normalized(),
 		rng: rand.New(rand.NewSource(int64(c.Rank())*7919 + 13)),
 		bar: distsched.NewBarrier(c.Rank(), c.Size()),
 	}
@@ -45,11 +44,12 @@ func RunMPI(c *mpi.Comm, cfg Config, p Params) Counters {
 
 type mpiWorker struct {
 	comm *mpi.Comm
-	cfg  Config
+	cfg  *Config
 	p    Params
 	rng  *rand.Rand
 
-	stack []Node
+	stack nodeStack
+	wire  []byte // steal-response staging; Isend copies at post
 	ctr   Counters
 
 	bar  *distsched.Barrier // Safra termination detector (shared w/ distsched)
@@ -68,16 +68,31 @@ func (w *mpiWorker) sendWork(buf []byte, dest, tag int) {
 
 func (w *mpiWorker) run() Counters {
 	if w.comm.Rank() == 0 {
-		w.stack = append(w.stack, w.cfg.Root())
+		w.stack.push(w.cfg.Root())
 	}
+	w.wire = make([]byte, w.p.Chunk*encodedNodeSize)
 
+	// The rank alternates between busy stretches and searches; one clock
+	// read at each change of state closes one interval and opens the next.
+	t := now()
 	for !w.done {
-		if len(w.stack) > 0 {
-			w.stack = expandSlice(w.cfg, w.p.PollInterval, w.stack, &w.ctr)
-			w.service()
-			continue
+		if w.stack.len() > 0 {
+			served := w.ctr.Overhead
+			for w.stack.len() > 0 {
+				w.stack.expand(w.cfg, w.p.PollInterval, &w.ctr)
+				w.service()
+			}
+			t1 := now()
+			w.ctr.Work += t1 - t - (w.ctr.Overhead - served)
+			t = t1
+		} else {
+			for !w.done && w.stack.len() == 0 {
+				w.searchForWork()
+			}
+			t1 := now()
+			w.ctr.Search += t1 - t
+			t = t1
 		}
-		w.searchForWork()
 	}
 	// Drain: answer any straggling steal requests with rejects so no
 	// thief blocks forever on a response.
@@ -86,48 +101,50 @@ func (w *mpiWorker) run() Counters {
 }
 
 // service answers pending steal requests and token arrivals while busy
-// (the overhead component of Table III).
+// (the overhead component of Table III). The probes themselves are part
+// of the polling loop; the clock starts when one finds something.
 func (w *mpiWorker) service() {
-	t0 := time.Now()
+	var ovh lazyTimer
 	for {
 		st, ok := w.comm.Iprobe(mpi.AnySource, tagStealReq)
 		if !ok {
 			break
 		}
+		ovh.start()
 		var b [1]byte
 		w.comm.Recv(b[:0], st.Source, tagStealReq)
 		w.answerSteal(st.Source)
 	}
 	// A token can arrive while busy; hold it (forwarded when idle).
-	w.tryTakeToken()
-	w.ctr.Overhead += time.Since(t0)
+	if w.tryTakeToken() {
+		ovh.start()
+	}
+	ovh.stop(&w.ctr.Overhead)
 }
 
-func (w *mpiWorker) tryTakeToken() {
-	if st, ok := w.comm.Iprobe(mpi.AnySource, tagToken); ok {
-		buf := make([]byte, 9)
-		w.comm.Recv(buf, st.Source, tagToken)
-		w.bar.TokenArrived(distsched.DecodeToken(buf))
+func (w *mpiWorker) tryTakeToken() bool {
+	st, ok := w.comm.Iprobe(mpi.AnySource, tagToken)
+	if ok {
+		var buf [9]byte
+		w.comm.Recv(buf[:], st.Source, tagToken)
+		w.bar.TokenArrived(distsched.DecodeToken(buf[:]))
 	}
+	return ok
 }
 
 // answerSteal sends a chunk if the stack is deep enough, else a reject.
 func (w *mpiWorker) answerSteal(thief int) {
-	if chunk, rest, ok := splitBottom(w.stack, w.p.Chunk); ok {
-		w.stack = rest
-		w.sendWork(EncodeNodes(chunk), thief, tagStealResp)
+	if w.stack.canRelease(w.p.Chunk) {
+		w.sendWork(encodeNodes(w.wire, w.stack.releaseBottom(w.p.Chunk)), thief, tagStealResp)
 		w.ctr.Released++
 		return
 	}
 	w.comm.Isend(nil, thief, tagStealResp) //hclint:allow fire-and-forget control message: the eager transport copies at post and completes autonomously
 }
 
-// searchForWork is the idle loop: try random victims, answer rejects,
-// move the termination token, watch for done.
+// searchForWork is one round of the idle loop: try a random victim,
+// answer rejects, move the termination token, watch for done.
 func (w *mpiWorker) searchForWork() {
-	t0 := time.Now()
-	defer func() { w.ctr.Search += time.Since(t0) }()
-
 	p := w.comm.Size()
 	if p == 1 {
 		w.done = true
@@ -151,7 +168,7 @@ func (w *mpiWorker) searchForWork() {
 				// Safra receipt rule: blacken before the work becomes
 				// executable.
 				w.bar.WorkReceived()
-				w.stack = append(w.stack, DecodeNodes(resp.Payload())...)
+				w.stack.decode(resp.Payload())
 				w.ctr.Steals++
 			} else {
 				w.ctr.FailedSteals++
@@ -187,7 +204,7 @@ func (w *mpiWorker) searchForWork() {
 // the token accumulates each passive machine's message deficit; rank 0
 // terminates on a white round with zero total deficit.
 func (w *mpiWorker) forwardTokenIfIdle() {
-	if len(w.stack) > 0 || w.done {
+	if w.stack.len() > 0 || w.done {
 		return
 	}
 	act, tok, next := w.bar.Advance(true)

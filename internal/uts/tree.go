@@ -113,11 +113,18 @@ const encodedNodeSize = descBytes + 4
 
 // EncodeNodes packs descriptors for a steal-response message.
 func EncodeNodes(ns []Node) []byte {
-	b := make([]byte, len(ns)*encodedNodeSize)
-	for i, n := range ns {
+	return encodeNodes(make([]byte, len(ns)*encodedNodeSize), ns)
+}
+
+// encodeNodes packs ns into b, which must hold len(ns)*encodedNodeSize
+// bytes, and returns b.
+//
+//hclint:hotpath
+func encodeNodes(b []byte, ns []Node) []byte {
+	for i := range ns {
 		off := i * encodedNodeSize
-		copy(b[off:], n.State[:])
-		binary.LittleEndian.PutUint32(b[off+descBytes:], uint32(n.Depth))
+		copy(b[off:], ns[i].State[:])
+		binary.LittleEndian.PutUint32(b[off+descBytes:], uint32(ns[i].Depth))
 	}
 	return b
 }
@@ -126,11 +133,16 @@ func EncodeNodes(ns []Node) []byte {
 func DecodeNodes(b []byte) []Node {
 	ns := make([]Node, len(b)/encodedNodeSize)
 	for i := range ns {
-		off := i * encodedNodeSize
-		copy(ns[i].State[:], b[off:off+descBytes])
-		ns[i].Depth = int32(binary.LittleEndian.Uint32(b[off+descBytes:]))
+		ns[i] = decodeNode(b[i*encodedNodeSize:])
 	}
 	return ns
+}
+
+// decodeNode unpacks the descriptor at the start of b.
+func decodeNode(b []byte) (n Node) {
+	copy(n.State[:], b[:descBytes])
+	n.Depth = int32(binary.LittleEndian.Uint32(b[descBytes:]))
+	return n
 }
 
 // Root returns the tree's root descriptor.

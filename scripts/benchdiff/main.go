@@ -35,6 +35,9 @@ type result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
+	// Machine, on a baseline row refreshed by hand, says where and when
+	// it was measured; rows without it predate the habit.
+	Machine string `json:"machine,omitempty"`
 }
 
 type snapshot struct {
