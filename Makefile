@@ -28,9 +28,12 @@ test:
 # stack up crosswise (TestBlock..., TestRecycleStress...), and the
 # aggregated-frame tests: bursts, cap splits and dropped frames through
 # hcmpi.Outbox and the DDDF protocol on top of it (TestOutbox...,
-# TestBurst..., TestChaosFrameDrop...).
+# TestBurst..., TestChaosFrameDrop...), and the collective schedules the
+# sweep advances: collectives issued concurrently and timed out, and the
+# phaser and accumulator hooks that issue them (Collective, Phaser,
+# Accumulator).
 chaos:
-	$(GO) test -race -count=1 -run 'Chaos|IdleHook|TestBlock|RecycleStress|TestFault|TestOutbox|TestBurst|Test.*(Drop|Partition|Crash|Stall|Cancel)' \
+	$(GO) test -race -count=1 -run 'Chaos|IdleHook|TestBlock|RecycleStress|TestFault|TestOutbox|TestBurst|Collective|Phaser|Accumulator|Test.*(Drop|Partition|Crash|Stall|Cancel)' \
 		./internal/netsim/ ./internal/mpi/ ./internal/hc/ ./internal/hcmpi/ ./internal/dddf/ ./internal/distsched/
 
 # Soak for the one-in-10⁴ class (ROADMAP item 2): the shape distsched's

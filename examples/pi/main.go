@@ -27,6 +27,11 @@ func main() {
 	hcmpi.Run(ranks, workersPerRank, func(n *hcmpi.Node, ctx *hcmpi.Ctx) {
 		acc := n.AccumCreate(hcmpi.OpSum, hcmpi.Int64)
 		ctx.Finish(func(ctx *hcmpi.Ctx) {
+			// The spawning task holds a registration until every phased
+			// task is registered, so no phase completes with only some of
+			// them (every rank must run the same number of phases).
+			hold := acc.Register(hcmpi.SignalOnly)
+			defer hold.Drop()
 			for t := 0; t < tasksPerRank; t++ {
 				t := t
 				hcmpi.AsyncPhased(ctx, acc, hcmpi.SignalWait, func(_ *hcmpi.Ctx, reg *hcmpi.PhaserReg) {

@@ -77,6 +77,10 @@ func TestFacadePhaserAccum(t *testing.T) {
 	hcmpi.Run(2, 2, func(n *hcmpi.Node, ctx *hcmpi.Ctx) {
 		acc := n.AccumCreate(hcmpi.OpSum, hcmpi.Int64)
 		ctx.Finish(func(ctx *hcmpi.Ctx) {
+			// Held until all three are registered, so none completes a
+			// phase alone (DESIGN.md §4c).
+			hold := acc.Register(hcmpi.SignalOnly)
+			defer hold.Drop()
 			for i := 0; i < 3; i++ {
 				hcmpi.AsyncPhased(ctx, acc, hcmpi.SignalWait, func(_ *hcmpi.Ctx, reg *hcmpi.PhaserReg) {
 					reg.AccumNext(int64(10))

@@ -244,12 +244,23 @@ func (n *Node) SendReserved(buf []byte, dest, tag int) *Request {
 
 // --- Collectives (blocking, per paper §II-C) ---
 
-// collective enqueues a collective comm task and blocks the computation
-// task (Wait) until the progress engine has completed it.
-func (n *Node) collective(ctx *hc.Ctx, t *commTask) *Status {
+// startCollective prescribes t, whose schedule the caller has described,
+// as a collective task and returns its request. A sweep starts the
+// schedule when it dispatches the task and advances it from then on.
+func (n *Node) startCollective(t *commTask) *Request {
 	req := n.newRequest()
+	t.kind = kindCollective
 	t.request = req
 	n.prescribe(t)
+	return req
+}
+
+// collective runs t as a collective task and blocks the computation task
+// (Wait) until the progress engine has completed it. Without a task
+// context — Close, and phaser hooks, which run on the phased task's own
+// goroutine — it blocks the goroutine on the request instead.
+func (n *Node) collective(ctx *hc.Ctx, t *commTask) *Status {
+	req := n.startCollective(t)
 	if ctx != nil {
 		return n.Wait(ctx, req)
 	}
@@ -259,24 +270,22 @@ func (n *Node) collective(ctx *hc.Ctx, t *commTask) *Status {
 // Barrier blocks until every rank's computation reaches it
 // (HCMPI_Barrier).
 func (n *Node) Barrier(ctx *hc.Ctx) {
-	t := n.allocTask()
-	t.kind = kindBarrier
+	t := n.collTask()
+	t.coll.Barrier()
 	n.collective(ctx, t)
 }
 
 // Bcast broadcasts root's buf into every rank's buf (HCMPI_Bcast).
 func (n *Node) Bcast(ctx *hc.Ctx, buf []byte, root int) {
-	t := n.allocTask()
-	t.kind = kindBcast
-	t.buf, t.peer = buf, root
+	t := n.collTask()
+	t.coll.Bcast(buf, root)
 	n.collective(ctx, t)
 }
 
 // Reduce folds data with op at root (HCMPI_Reduce); non-roots get nil.
 func (n *Node) Reduce(ctx *hc.Ctx, data []byte, dt mpi.Datatype, op mpi.Op, root int) []byte {
-	t := n.allocTask()
-	t.kind = kindReduce
-	t.buf, t.dt, t.op, t.peer = data, dt, op, root
+	t := n.collTask()
+	t.coll.Reduce(data, dt, op, root)
 	st := n.collective(ctx, t)
 	if n.Rank() != root {
 		return nil
@@ -286,40 +295,35 @@ func (n *Node) Reduce(ctx *hc.Ctx, data []byte, dt mpi.Datatype, op mpi.Op, root
 
 // Allreduce folds data with op on every rank (HCMPI_Allreduce).
 func (n *Node) Allreduce(ctx *hc.Ctx, data []byte, dt mpi.Datatype, op mpi.Op) []byte {
-	t := n.allocTask()
-	t.kind = kindAllreduce
-	t.buf, t.dt, t.op = data, dt, op
+	t := n.collTask()
+	t.coll.Allreduce(data, dt, op)
 	return n.collective(ctx, t).Payload
 }
 
 // Scan computes the inclusive prefix fold (HCMPI_Scan).
 func (n *Node) Scan(ctx *hc.Ctx, data []byte, dt mpi.Datatype, op mpi.Op) []byte {
-	t := n.allocTask()
-	t.kind = kindScan
-	t.buf, t.dt, t.op = data, dt, op
+	t := n.collTask()
+	t.coll.Scan(data, dt, op)
 	return n.collective(ctx, t).Payload
 }
 
 // Gather collects each rank's data at root (HCMPI_Gather).
 func (n *Node) Gather(ctx *hc.Ctx, data []byte, root int) [][]byte {
-	t := n.allocTask()
-	t.kind = kindGather
-	t.buf, t.peer = data, root
+	t := n.collTask()
+	t.coll.Gather(data, root)
 	return n.collective(ctx, t).Parts
 }
 
 // Allgather collects each rank's data everywhere (HCMPI_Allgather).
 func (n *Node) Allgather(ctx *hc.Ctx, data []byte) [][]byte {
-	t := n.allocTask()
-	t.kind = kindAllgather
-	t.buf = data
+	t := n.collTask()
+	t.coll.Allgather(data)
 	return n.collective(ctx, t).Parts
 }
 
 // Scatter distributes root's parts (HCMPI_Scatter).
 func (n *Node) Scatter(ctx *hc.Ctx, parts [][]byte, root int) []byte {
-	t := n.allocTask()
-	t.kind = kindScatter
-	t.parts, t.peer = parts, root
+	t := n.collTask()
+	t.coll.Scatter(parts, root)
 	return n.collective(ctx, t).Payload
 }

@@ -74,14 +74,9 @@ const (
 	kindNone commKind = iota
 	kindIsend
 	kindIrecv
-	kindBarrier
-	kindBcast
-	kindReduce
-	kindAllreduce
-	kindScan
-	kindGather
-	kindScatter
-	kindAllgather
+	// kindCollective runs a collective: the task carries its described
+	// schedule, which dispatch starts and the sweep advances.
+	kindCollective
 	kindListen
 	kindShutdown
 	// kindCancel asks the communication worker to cancel an outstanding
@@ -89,9 +84,6 @@ const (
 	kindCancel
 	// kindOneSided issues an RMA operation (request polled like p2p).
 	kindOneSided
-	// kindCustom runs an arbitrary blocking operation on the collective
-	// runner in dispatch order (window creation, fence).
-	kindCustom
 	// kindFlush sends an Outbox frame. The task is prescribed empty and
 	// binds the frame when it is dispatched; from then on it is a
 	// kindIsend whose buffer it owns (polled, retried and timed out as a
@@ -109,30 +101,25 @@ type commTask struct {
 	id int64
 
 	buf      []byte
-	peer     int // dest or src (or root for collectives)
+	peer     int // dest or src
 	tag      int
 	takeAll  bool
-	dt       mpi.Datatype
-	op       mpi.Op
-	parts    [][]byte // scatter input
 	listenFn func(src int, payload []byte)
 
 	req     *mpi.Request // underlying MPI request while ACTIVE
 	request *Request     // HCMPI-level handle to complete
+	// coll is a kindCollective task's schedule. A task gets one the first
+	// time it carries a collective (collTask) and keeps it, request lists
+	// included, across recycling.
+	coll *mpi.Schedule
 	// issue starts a one-sided operation (kindOneSided).
 	issue func() *mpi.Request
-	// custom runs a blocking operation on the collective runner
-	// (kindCustom) and produces the completion status.
-	custom func() *Status
 	// cancelTarget identifies the request a kindCancel task refers to.
 	cancelTarget *Request
 	// outbox is where a kindFlush task binds its frame at dispatch; it
 	// stays set on the send the task becomes, marking buf as a pool
 	// buffer the task owns rather than the caller's.
 	outbox *Outbox
-	// resultParts carries gather-style collective results.
-	resultParts [][]byte
-	resultBuf   []byte
 
 	// Fault-plane bookkeeping: retransmission attempts so far, the
 	// earliest instant the next attempt may be issued (capped exponential
@@ -140,6 +127,14 @@ type commTask struct {
 	retries  int
 	retryAt  time.Time
 	deadline time.Time
+
+	// The padding rounds the task up to three 64-byte cache lines. Tasks
+	// sit back to back in their allocation size class, and a task
+	// straddling a line with its neighbour is falsely shared between the
+	// goroutines that prescribe and sweep them: at 176 bytes pingpong_8b
+	// made 0.84 × the round trips per second it makes at 192 (ten of ten
+	// pairs). TestCommTaskFillsCacheLines holds the size.
+	_ [16]byte
 }
 
 func (t *commTask) setState(s CommState) { t.state.Store(int32(s)) }
@@ -148,13 +143,16 @@ func (t *commTask) setState(s CommState) { t.state.Store(int32(s)) }
 func (t *commTask) State() CommState { return CommState(t.state.Load()) }
 
 func (t *commTask) reset() {
+	if t.kind == kindCollective {
+		t.coll.Reset()
+	}
 	t.kind = kindNone
-	t.buf, t.parts, t.resultParts, t.resultBuf = nil, nil, nil, nil
+	t.buf = nil
 	t.peer, t.tag = 0, 0
 	t.takeAll = false
 	t.listenFn = nil
 	t.req, t.request = nil, nil
-	t.issue, t.custom = nil, nil
+	t.issue = nil
 	t.cancelTarget = nil
 	t.outbox = nil
 	t.retries, t.retryAt, t.deadline = 0, time.Time{}, time.Time{}
@@ -261,30 +259,19 @@ type Node struct {
 	worklist  *deque.MPSC[commTask]
 	freelist  *deque.Stack[commTask]
 	commDeque *deque.Deque[hc.Task] // continuations freed by the dedicated worker
-	// collQueue feeds collectives, in dispatch order, to a single helper
-	// goroutine (collKick rouses it), and collDone carries the finished
-	// operations back to the progress sweep. Collectives execute on the
-	// helper so the sweep keeps servicing listeners and point-to-point
-	// progress meanwhile; the paper's runtime blocks here instead, which
-	// is faithful for MPI-2-era semantics but would deadlock the DDDF
-	// termination protocol in this substrate (see DESIGN.md §2).
-	collQueue *deque.MPSC[commTask]
-	collKick  chan struct{}
-	collDone  *deque.MPSC[collResult]
-	// collDecided counts the collectives whose outcome — completion or
-	// watchdog timeout — has been decided (see runCollective).
-	collDecided atomic.Uint64
 
 	// sweepMu is the progress try-lock: its holder is the communication
 	// worker for the length of one sweep. Nobody ever waits for it, and it
 	// guards everything down to ring (single-owner state of the sweep).
-	sweepMu   sync.Mutex
+	sweepMu sync.Mutex
+	// active holds the ACTIVE tasks: point-to-point and one-sided
+	// operations polled with MPI_Test, and collectives whose schedules
+	// the sweep advances.
 	active    []*commTask
 	listeners []*listener
 	// pendingRetry holds dropped sends waiting out their backoff before
 	// a sweep re-issues them.
-	pendingRetry  []*commTask
-	collsInFlight int
+	pendingRetry []*commTask
 	// driver is the computation worker driving the current sweep, nil
 	// when the dedicated worker does; ring is where the sweep's trace
 	// events go (the driver's timeline, else commRing).
@@ -312,12 +299,6 @@ type statCounters struct {
 	polls, dispatched           *trace.Counter
 	retries, timeouts, failures *trace.Counter
 	stolen, contended           *trace.Counter
-}
-
-// collResult is a finished collective flowing back to the progress sweep.
-type collResult struct {
-	t  *commTask
-	st *Status
 }
 
 // listener is a persistent receive the progress engine keeps posted
@@ -377,9 +358,6 @@ func NewNode(c *mpi.Comm, cfg Config) *Node {
 		worklist:  deque.NewMPSC[commTask](),
 		freelist:  deque.NewStack[commTask](),
 		commDeque: deque.NewDeque[hc.Task](),
-		collQueue: deque.NewMPSC[commTask](),
-		collKick:  make(chan struct{}, 1),
-		collDone:  deque.NewMPSC[collResult](),
 		stopped:   make(chan struct{}),
 	}
 	n.rt = hc.NewTraced(cfg.Workers, cfg.Tracer, c.Rank(), n.commDeque)
@@ -404,7 +382,6 @@ func NewNode(c *mpi.Comm, cfg Config) *Node {
 	}
 	n.rt.SetIdleProgress(n.idleSweep)
 	go n.commWorker()
-	go n.collectiveRunner()
 	return n
 }
 
@@ -469,12 +446,9 @@ func (n *Node) Main(f func(*hc.Ctx)) {
 // computation workers.
 func (n *Node) Close() {
 	// Synchronize all ranks through a comm-worker barrier.
-	req := n.newRequest()
-	t := n.allocTask()
-	t.kind = kindBarrier
-	t.request = req
-	n.prescribe(t)
-	req.ddf.Await()
+	t := n.collTask()
+	t.coll.Barrier()
+	n.collective(nil, t)
 
 	n.stop.Store(true)
 	<-n.stopped
@@ -516,6 +490,17 @@ func (n *Node) allocTask() *commTask {
 	return t
 }
 
+// collTask takes a task for a collective: the caller describes the
+// collective on its schedule and runs it with collective or
+// startCollective.
+func (n *Node) collTask() *commTask {
+	t := n.allocTask()
+	if t.coll == nil {
+		t.coll = &mpi.Schedule{}
+	}
+	return t
+}
+
 // prescribe publishes a fully initialized task to the communication
 // worker.
 func (n *Node) prescribe(t *commTask) {
@@ -526,9 +511,10 @@ func (n *Node) prescribe(t *commTask) {
 }
 
 // retire recycles a completed task structure. Only COMPLETED tasks may be
-// recycled: a task still ACTIVE (polled, awaiting retry, or running a
-// collective) reaching here would be a use-after-free in the making, so
-// the lifecycle is asserted, which the recycling stress test leans on.
+// recycled: a task still ACTIVE (polled, awaiting retry, or advancing a
+// collective schedule) reaching here would be a use-after-free in the
+// making, so the lifecycle is asserted, which the recycling stress test
+// leans on.
 func (n *Node) retire(t *commTask) {
 	if s := t.State(); s != StateCompleted {
 		panic(fmt.Sprintf("hcmpi: retiring a %v task", s))
@@ -589,9 +575,12 @@ func (n *Node) isend(t *commTask) *mpi.Request {
 // timeoutTask fails an operation that overran OpTimeout. Receives are
 // withdrawn through Cancel, whose posted-queue commit point decides races
 // against a concurrent matching delivery: if the delivery won, the real
-// completion is published instead of the timeout.
+// completion is published instead of the timeout. A collective's
+// schedule is aborted, which withdraws its posted receives the same way.
 func (n *Node) timeoutTask(t *commTask) {
-	if !t.req.Cancel() {
+	if t.kind == kindCollective {
+		t.coll.Abort()
+	} else if !t.req.Cancel() {
 		if st, ok := t.req.TestStatus(); ok {
 			n.finishP2P(t, &st)
 			return
@@ -648,15 +637,31 @@ func (n *Node) activate(t *commTask, clk *sweepClock) {
 		n.settle(t, &st, clk)
 		return
 	}
+	n.watch(t, clk)
+}
+
+// watch adds an ACTIVE task to the polled set, with its deadline.
+func (n *Node) watch(t *commTask, clk *sweepClock) {
 	if d := n.cfg.OpTimeout; d > 0 {
 		t.deadline = clk.now().Add(d)
 	}
 	n.active = append(n.active, t)
 }
 
-// dispatch issues one prescribed task. Point-to-point operations become
-// ACTIVE and are polled; collectives are handed to the collective runner
-// and come back through collDone.
+// advance advances a collective task's schedule and publishes its result
+// once it has finished, reporting whether it has.
+func (n *Node) advance(t *commTask) bool {
+	if !t.coll.Progress() {
+		return false
+	}
+	res := t.coll.Payload()
+	n.completeLocal(t, &Status{Bytes: len(res), Payload: res, Parts: t.coll.Parts()})
+	return true
+}
+
+// dispatch issues one prescribed task and makes it ACTIVE. Collectives
+// take their sequence numbers here, so every rank starts them in its
+// dispatch order — the order its tasks prescribed them in.
 func (n *Node) dispatch(t *commTask, clk *sweepClock) {
 	invariant.Assertf(t.State() == StatePrescribed,
 		"hcmpi: dispatching a %v task (worklist must carry PRESCRIBED tasks only)", t.State())
@@ -693,16 +698,13 @@ func (n *Node) dispatch(t *commTask, clk *sweepClock) {
 		n.ring.Emit(trace.EvSendPost, int64(t.peer), int64(f.records))
 		t.req = n.isend(t)
 		n.activate(t, clk)
-	case kindBarrier, kindBcast, kindReduce, kindAllreduce, kindScan,
-		kindGather, kindAllgather, kindScatter, kindCustom:
+	case kindCollective:
+		// Started, not polled: it completes in the ACTIVE poll, after
+		// this sweep's listener step (see progress).
 		n.stats.collectives.Add(1)
+		t.coll.Start(n.comm)
 		n.traceState(n.ring, t, StateActive)
-		n.collsInFlight++
-		n.collQueue.Push(t)
-		select {
-		case n.collKick <- struct{}{}:
-		default: // a kick is already pending; the runner drains the whole queue per kick
-		}
+		n.watch(t, clk)
 	case kindCancel:
 		// Find the ACTIVE operation carrying the target request and try
 		// to cancel the underlying MPI operation (only unmatched
@@ -712,7 +714,7 @@ func (n *Node) dispatch(t *commTask, clk *sweepClock) {
 		target := t.cancelTarget
 		cancelled := false
 		for _, at := range n.active {
-			if at.request == target {
+			if at.request == target && at.kind != kindCollective {
 				cancelled = at.req.Cancel()
 				break
 			}
@@ -722,115 +724,6 @@ func (n *Node) dispatch(t *commTask, clk *sweepClock) {
 		n.completeLocal(t, &Status{})
 	default:
 		panic(fmt.Sprintf("hcmpi: dispatch of %v task", t.kind))
-	}
-}
-
-// collectiveRunner is the progress engine's helper goroutine: it
-// executes collectives strictly in dispatch order (so every rank issues
-// them in the same sequence, preserving MPI's collective matching
-// discipline) while sweeps keep servicing listeners and point-to-point
-// progress. The results flow back through collDone to a sweep, which
-// publishes them (request completion stays under the sweep lock). It
-// exits with the dedicated worker, which stops only once no collective
-// is in flight.
-func (n *Node) collectiveRunner() {
-	for {
-		for {
-			t, ok := n.collQueue.Pop()
-			if !ok {
-				break
-			}
-			if !n.runCollective(t) {
-				return // abandoned in a timed-out collective: a successor owns the queue
-			}
-		}
-		select {
-		case <-n.collKick:
-		case <-n.stopped:
-			return
-		}
-	}
-}
-
-// runCollective executes t on the calling runner and reports whether
-// that runner still owns the queue afterwards.
-//
-// With OpTimeout set a watchdog timer races the operation. A collective
-// stuck behind a partition or crashed rank is abandoned with ErrTimeout,
-// so its awaiters (and Close's final barrier) unblock, and a successor
-// runner takes over the queue; the abandoned runner exits if its MPI
-// call ever returns (under a permanent partition it is leaked, which is
-// the faithful outcome). Collectives run one at a time, so counting the
-// decided ones settles the race: whoever moves collDecided from this
-// collective's predecessor to it owns the outcome. The thunk captured
-// every task field it needs, so the loser never touches the (recycled)
-// task.
-func (n *Node) runCollective(t *commTask) bool {
-	thunk := n.collectiveThunk(t)
-	if n.cfg.OpTimeout <= 0 {
-		n.collFinished(t, thunk())
-		return true
-	}
-	seq := n.collDecided.Load() + 1
-	watchdog := time.AfterFunc(n.cfg.OpTimeout, func() {
-		if n.collDecided.CompareAndSwap(seq-1, seq) {
-			n.stats.timeouts.Add(1)
-			n.stats.failures.Add(1)
-			n.collFinished(t, &Status{Err: mpi.ErrTimeout})
-			go n.collectiveRunner()
-		}
-	})
-	st := thunk()
-	if !n.collDecided.CompareAndSwap(seq-1, seq) {
-		return false
-	}
-	watchdog.Stop()
-	n.collFinished(t, st)
-	return true
-}
-
-// collFinished hands a finished collective to the next sweep. The task
-// blocked on it has usually parked its worker by now; rousing the pool
-// lets that worker drive the publishing sweep at once (through the idle
-// hook) instead of leaving it to the dedicated worker's next wake-up.
-func (n *Node) collFinished(t *commTask, st *Status) {
-	n.collDone.Push(&collResult{t: t, st: st})
-	n.rt.Wake()
-}
-
-// collectiveThunk snapshots the task's operation into a self-contained
-// closure, so a timed-out collective can keep running after the task
-// structure has been completed and recycled.
-func (n *Node) collectiveThunk(t *commTask) func() *Status {
-	kind, buf, peer, dt, op, parts, custom := t.kind, t.buf, t.peer, t.dt, t.op, t.parts, t.custom
-	return func() *Status {
-		switch kind {
-		case kindBarrier:
-			n.comm.Barrier()
-			return &Status{}
-		case kindBcast:
-			n.comm.Bcast(buf, peer)
-			return &Status{Bytes: len(buf), Payload: buf}
-		case kindReduce:
-			res := n.comm.Reduce(buf, dt, op, peer)
-			return &Status{Bytes: len(res), Payload: res}
-		case kindAllreduce:
-			res := n.comm.Allreduce(buf, dt, op)
-			return &Status{Bytes: len(res), Payload: res}
-		case kindScan:
-			res := n.comm.Scan(buf, dt, op)
-			return &Status{Bytes: len(res), Payload: res}
-		case kindGather:
-			return &Status{Parts: n.comm.Gather(buf, peer)}
-		case kindAllgather:
-			return &Status{Parts: n.comm.Allgather(buf)}
-		case kindScatter:
-			res := n.comm.Scatter(parts, peer)
-			return &Status{Bytes: len(res), Payload: res}
-		case kindCustom:
-			return custom()
-		}
-		panic(fmt.Sprintf("hcmpi: collective thunk for kind %d", kind))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"hcmpi/internal/hc"
 	"hcmpi/internal/mpi"
@@ -334,6 +335,12 @@ func TestOverlapComputationWithCommunication(t *testing.T) {
 			}
 		}
 	})
+}
+
+func TestCommTaskFillsCacheLines(t *testing.T) {
+	if size := unsafe.Sizeof(commTask{}); size%64 != 0 {
+		t.Errorf("commTask is %d bytes; resize its padding to a multiple of the 64-byte cache line", size)
+	}
 }
 
 func TestCommStateString(t *testing.T) {

@@ -51,11 +51,9 @@ func (n *Node) PhaserCreate(mode BarrierMode) *phaser.Phaser {
 	switch mode {
 	case Fuzzy:
 		cfg.Hooks.OnFirstArrival = func(int64) {
-			t := n.allocTask()
-			t.kind = kindBarrier
-			req := n.newRequest()
-			t.request = req
-			n.prescribe(t)
+			t := n.collTask()
+			t.coll.Barrier()
+			req := n.startCollective(t)
 			g.mu.Lock()
 			g.pending = req
 			g.mu.Unlock()
@@ -72,12 +70,9 @@ func (n *Node) PhaserCreate(mode BarrierMode) *phaser.Phaser {
 		}
 	case Strict:
 		cfg.Hooks.ExternalRelease = func(_ int64, local any) any {
-			t := n.allocTask()
-			t.kind = kindBarrier
-			req := n.newRequest()
-			t.request = req
-			n.prescribe(t)
-			req.ddf.Await()
+			t := n.collTask()
+			t.coll.Barrier()
+			n.collective(nil, t)
 			return local
 		}
 	default:
@@ -99,15 +94,9 @@ func (n *Node) AccumCreate(op mpi.Op, dt mpi.Datatype) *phaser.Phaser {
 		Combine: combine,
 		Hooks: phaser.Hooks{
 			ExternalRelease: func(_ int64, local any) any {
-				buf := encodeValue(local, dt, op)
-				t := n.allocTask()
-				t.kind = kindAllreduce
-				t.buf, t.dt, t.op = buf, dt, op
-				req := n.newRequest()
-				t.request = req
-				n.prescribe(t)
-				st := req.ddf.Await().(*Status)
-				return decodeValue(st.Payload, dt)
+				t := n.collTask()
+				t.coll.Allreduce(encodeValue(local, dt, op), dt, op)
+				return decodeValue(n.collective(nil, t).Payload, dt)
 			},
 		},
 	}

@@ -9,6 +9,21 @@ import (
 	"hcmpi/internal/phaser"
 )
 
+// spawnPhased starts k tasks registered on ph while the spawning task
+// holds a registration of its own, dropped only once all k are
+// registered. Without the hold a task spawned early can run ahead and
+// complete a phase on its own before its siblings register: that rank
+// then runs one more inter-node collective than the others and the ranks'
+// collective sequences diverge.
+func spawnPhased(ctx *hc.Ctx, ph *phaser.Phaser, k int, fn func(i int, ctx *hc.Ctx, reg *phaser.Reg)) {
+	hold := ph.Register(phaser.SignalOnly)
+	defer hold.Drop()
+	for i := 0; i < k; i++ {
+		i := i
+		AsyncPhased(ctx, ph, phaser.SignalWait, func(ctx *hc.Ctx, reg *phaser.Reg) { fn(i, ctx, reg) })
+	}
+}
+
 // Paper Fig. 7: hcmpi-phaser as a system-wide barrier — n tasks per rank,
 // all ranks, one next.
 func TestHCMPIPhaserBarrier(t *testing.T) {
@@ -21,26 +36,24 @@ func TestHCMPIPhaserBarrier(t *testing.T) {
 				ph := n.PhaserCreate(mode)
 				var local atomic.Int32
 				ctx.Finish(func(ctx *hc.Ctx) {
-					for i := 0; i < tasksPerRank; i++ {
-						AsyncPhased(ctx, ph, phaser.SignalWait, func(ctx *hc.Ctx, reg *phaser.Reg) {
-							local.Add(1)
-							global.Add(1)
-							reg.Next()
-							// Local phase ordering holds in both modes.
-							if got := local.Load(); got != tasksPerRank {
-								t.Errorf("task passed barrier with %d/%d local arrivals", got, tasksPerRank)
+					spawnPhased(ctx, ph, tasksPerRank, func(_ int, ctx *hc.Ctx, reg *phaser.Reg) {
+						local.Add(1)
+						global.Add(1)
+						reg.Next()
+						// Local phase ordering holds in both modes.
+						if got := local.Load(); got != tasksPerRank {
+							t.Errorf("task passed barrier with %d/%d local arrivals", got, tasksPerRank)
+						}
+						// The strict mode additionally orders against
+						// every task system-wide; fuzzy relaxes this
+						// (the MPI barrier needs only each rank's
+						// first arrival).
+						if mode == Strict {
+							if got := global.Load(); got != ranks*tasksPerRank {
+								t.Errorf("strict barrier passed with %d/%d global arrivals", got, ranks*tasksPerRank)
 							}
-							// The strict mode additionally orders against
-							// every task system-wide; fuzzy relaxes this
-							// (the MPI barrier needs only each rank's
-							// first arrival).
-							if mode == Strict {
-								if got := global.Load(); got != ranks*tasksPerRank {
-									t.Errorf("strict barrier passed with %d/%d global arrivals", got, ranks*tasksPerRank)
-								}
-							}
-						})
-					}
+						}
+					})
 				})
 			})
 		})
@@ -54,17 +67,15 @@ func TestHCMPIPhaserMultiplePhases(t *testing.T) {
 		ph := n.PhaserCreate(Fuzzy)
 		var phaseCount [phases]atomic.Int32
 		ctx.Finish(func(ctx *hc.Ctx) {
-			for i := 0; i < 3; i++ {
-				AsyncPhased(ctx, ph, phaser.SignalWait, func(_ *hc.Ctx, reg *phaser.Reg) {
-					for p := 0; p < phases; p++ {
-						phaseCount[p].Add(1)
-						reg.Next()
-						if got := phaseCount[p].Load(); got != 3 {
-							t.Errorf("phase %d released with %d/3 local arrivals", p, got)
-						}
+			spawnPhased(ctx, ph, 3, func(_ int, _ *hc.Ctx, reg *phaser.Reg) {
+				for p := 0; p < phases; p++ {
+					phaseCount[p].Add(1)
+					reg.Next()
+					if got := phaseCount[p].Load(); got != 3 {
+						t.Errorf("phase %d released with %d/3 local arrivals", p, got)
 					}
-				})
-			}
+				}
+			})
 		})
 		if got := ph.Phase(); got != phases {
 			t.Errorf("rank %d completed %d phases", n.Rank(), got)
@@ -79,23 +90,20 @@ func TestHCMPIAccumulatorSum(t *testing.T) {
 	runNodes(t, ranks, 2, func(n *Node, ctx *hc.Ctx) {
 		acc := n.AccumCreate(mpi.OpSum, mpi.Int64)
 		ctx.Finish(func(ctx *hc.Ctx) {
-			for i := 0; i < tasksPerRank; i++ {
-				i := i
-				AsyncPhased(ctx, acc, phaser.SignalWait, func(_ *hc.Ctx, reg *phaser.Reg) {
-					myVal := int64(n.Rank()*100 + i + 1)
-					reg.AccumNext(myVal)
-					// accum_get: the globally reduced value.
-					var want int64
-					for r := 0; r < ranks; r++ {
-						for j := 0; j < tasksPerRank; j++ {
-							want += int64(r*100 + j + 1)
-						}
+			spawnPhased(ctx, acc, tasksPerRank, func(i int, _ *hc.Ctx, reg *phaser.Reg) {
+				myVal := int64(n.Rank()*100 + i + 1)
+				reg.AccumNext(myVal)
+				// accum_get: the globally reduced value.
+				var want int64
+				for r := 0; r < ranks; r++ {
+					for j := 0; j < tasksPerRank; j++ {
+						want += int64(r*100 + j + 1)
 					}
-					if got := reg.Get().(int64); got != want {
-						t.Errorf("accum_get = %d want %d", got, want)
-					}
-				})
-			}
+				}
+				if got := reg.Get().(int64); got != want {
+					t.Errorf("accum_get = %d want %d", got, want)
+				}
+			})
 		})
 	})
 }
@@ -155,15 +163,13 @@ func TestFuzzyBarrierOverlapsLocalWork(t *testing.T) {
 		ph := n.PhaserCreate(Fuzzy)
 		var sum atomic.Int64
 		ctx.Finish(func(ctx *hc.Ctx) {
-			for i := 0; i < 4; i++ {
-				AsyncPhased(ctx, ph, phaser.SignalWait, func(_ *hc.Ctx, reg *phaser.Reg) {
-					sum.Add(1)
-					reg.Next()
-					if sum.Load() != 4 {
-						t.Errorf("local arrivals = %d at release", sum.Load())
-					}
-				})
-			}
+			spawnPhased(ctx, ph, 4, func(_ int, _ *hc.Ctx, reg *phaser.Reg) {
+				sum.Add(1)
+				reg.Next()
+				if sum.Load() != 4 {
+					t.Errorf("local arrivals = %d at release", sum.Load())
+				}
+			})
 		})
 	})
 }

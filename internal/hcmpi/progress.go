@@ -10,11 +10,12 @@ import (
 )
 
 // The progress engine (DESIGN.md §16). One sweep — progress — drains the
-// worklist, issues MPI operations, polls active requests, services the
-// listeners and publishes completions by putting HCMPI_Status objects
-// into request DDFs. Sweeps are serialized by the sweepMu try-lock, so
-// MPI stays single-threaded per rank and the sweep's state keeps its
-// single-owner discipline, but the owner changes from sweep to sweep:
+// worklist and issues MPI operations, services the listeners, polls
+// active requests, advances collective schedules and publishes
+// completions by putting HCMPI_Status objects into request DDFs. Sweeps
+// are serialized by the sweepMu try-lock, so MPI stays single-threaded
+// per rank and the sweep's state keeps its single-owner discipline, but
+// the owner changes from sweep to sweep:
 //
 //   - the dedicated worker (commWorker) sweeps in a loop with an adaptive
 //     idle ladder. It guarantees progress while every computation worker
@@ -66,7 +67,8 @@ func (c *sweepClock) now() time.Time {
 // anything moved. The caller holds sweepMu and has set driver and ring.
 // If a sweep parks, MPI progress stops for the whole rank — and the
 // caller may be a computation worker — so the annotation below keeps the
-// entire dispatch and completion path honest.
+// entire dispatch and completion path honest, collective schedules'
+// Start and Progress included.
 //
 //hclint:nonblocking
 func (n *Node) progress() bool {
@@ -87,14 +89,43 @@ func (n *Node) progress() bool {
 		progressed = true
 	}
 
-	// 2. Poll ACTIVE point-to-point operations (MPI_Test). Errored
-	// completions either schedule a retransmit (dropped idempotent
-	// sends) or surface through the request DDF; deadline overruns
-	// are failed with ErrTimeout so no awaiter blocks forever.
+	// 2. Poll listeners, draining a bounded batch from each. They come
+	// before the ACTIVE set so that a collective completes only once the
+	// listener messages that reached this rank ahead of its last round
+	// have been handed over: a DDDF frame or steal request sent before a
+	// barrier has been handled when the barrier returns (a listenBatch
+	// per listener and sweep).
 	n.stats.polls.Add(1)
+	for _, l := range n.listeners {
+		for i := 0; i < listenBatch && !l.halt; i++ {
+			st, ok := l.req.TestStatus()
+			if !ok {
+				break
+			}
+			old := l.req
+			// Repost before invoking so back-to-back messages queue.
+			l.req = n.comm.IrecvReserved(mpi.AnySource, l.tag)
+			l.fn(st.Source, old.Payload())
+			// The callback only borrowed the payload: it goes back to the
+			// transport's pool with the handle.
+			old.FreeWithPayload()
+			progressed = true
+		}
+	}
+
+	// 3. Poll ACTIVE operations (MPI_Test) and advance collective
+	// schedules. Errored completions either schedule a retransmit
+	// (dropped idempotent sends) or surface through the request DDF;
+	// deadline overruns are failed with ErrTimeout so no awaiter blocks
+	// forever.
 	live := n.active[:0]
 	for _, t := range n.active {
-		if st, ok := t.req.TestStatus(); ok {
+		if t.kind == kindCollective {
+			if n.advance(t) {
+				progressed = true
+				continue
+			}
+		} else if st, ok := t.req.TestStatus(); ok {
 			n.settle(t, &st, &clk)
 			progressed = true
 			continue
@@ -108,7 +139,7 @@ func (n *Node) progress() bool {
 	}
 	n.active = live
 
-	// 2b. Re-issue dropped sends whose backoff has elapsed.
+	// 3b. Re-issue dropped sends whose backoff has elapsed.
 	if len(n.pendingRetry) > 0 {
 		now := clk.now()
 		waiting := n.pendingRetry[:0]
@@ -128,35 +159,6 @@ func (n *Node) progress() bool {
 			}
 		}
 		n.pendingRetry = waiting
-	}
-
-	// 3. Poll listeners, draining a bounded batch from each.
-	for _, l := range n.listeners {
-		for i := 0; i < listenBatch && !l.halt; i++ {
-			st, ok := l.req.TestStatus()
-			if !ok {
-				break
-			}
-			old := l.req
-			// Repost before invoking so back-to-back messages queue.
-			l.req = n.comm.IrecvReserved(mpi.AnySource, l.tag)
-			l.fn(st.Source, old.Payload())
-			// The callback only borrowed the payload: it goes back to the
-			// transport's pool with the handle.
-			old.FreeWithPayload()
-			progressed = true
-		}
-	}
-
-	// 4. Collect finished collectives from the helper goroutine.
-	for {
-		r, ok := n.collDone.Pop()
-		if !ok {
-			break
-		}
-		n.completeLocal(r.t, r.st)
-		n.collsInFlight--
-		progressed = true
 	}
 	return progressed
 }
@@ -242,8 +244,7 @@ func (n *Node) commWorker() {
 // drained reports whether the engine holds no unfinished operation
 // (sweepMu held).
 func (n *Node) drained() bool {
-	return n.worklist.Empty() && len(n.active) == 0 &&
-		len(n.pendingRetry) == 0 && n.collsInFlight == 0
+	return n.worklist.Empty() && len(n.active) == 0 && len(n.pendingRetry) == 0
 }
 
 // idleSleep parks the idle dedicated worker. The sleep doubles from 1µs

@@ -22,23 +22,11 @@ type Win struct {
 // WinCreate collectively creates an RMA window over buf
 // (HCMPI_Win_create). Call from every rank in the same order.
 func (n *Node) WinCreate(ctx *hc.Ctx, buf []byte) *Win {
-	// Window creation includes a barrier; run it on the communication
-	// worker like any collective.
-	req := n.newRequest()
-	var win *mpi.Win
-	t := n.allocTask()
-	t.kind = kindCustom
-	t.custom = func() *Status {
-		win = n.comm.WinCreate(buf)
-		return &Status{}
-	}
-	t.request = req
-	n.prescribe(t)
-	if ctx != nil {
-		n.Wait(ctx, req)
-	} else {
-		req.ddf.Await()
-	}
+	// Window creation is a local registration plus a barrier: a
+	// collective task like any other.
+	t := n.collTask()
+	win := t.coll.WinCreate(buf)
+	n.collective(ctx, t)
 	return &Win{n: n, win: win}
 }
 
@@ -78,20 +66,9 @@ func (w *Win) oneSided(issue func() *mpi.Request) *Request {
 // Fence closes the access epoch (HCMPI_Win_fence): a collective through
 // the communication worker that blocks the calling computation task.
 func (w *Win) Fence(ctx *hc.Ctx) {
-	req := w.n.newRequest()
-	t := w.n.allocTask()
-	t.kind = kindCustom
-	t.custom = func() *Status {
-		w.win.Fence()
-		return &Status{}
-	}
-	t.request = req
-	w.n.prescribe(t)
-	if ctx != nil {
-		w.n.Wait(ctx, req)
-		return
-	}
-	req.ddf.Await()
+	t := w.n.collTask()
+	t.coll.Fence(w.win)
+	w.n.collective(ctx, t)
 }
 
 // --- non-blocking collectives ---
@@ -99,34 +76,23 @@ func (w *Win) Fence(ctx *hc.Ctx) {
 // IBarrier starts a non-blocking barrier (HCMPI_Ibarrier); synchronize
 // with Wait / await on the request.
 func (n *Node) IBarrier() *Request {
-	t := n.allocTask()
-	t.kind = kindBarrier
-	req := n.newRequest()
-	t.request = req
-	n.prescribe(t)
-	return req
+	t := n.collTask()
+	t.coll.Barrier()
+	return n.startCollective(t)
 }
 
 // IBcast starts a non-blocking broadcast of root's buf (HCMPI_Ibcast).
 // Do not touch buf until the request completes.
 func (n *Node) IBcast(buf []byte, root int) *Request {
-	t := n.allocTask()
-	t.kind = kindBcast
-	t.buf, t.peer = buf, root
-	req := n.newRequest()
-	t.request = req
-	n.prescribe(t)
-	return req
+	t := n.collTask()
+	t.coll.Bcast(buf, root)
+	return n.startCollective(t)
 }
 
 // IAllreduce starts a non-blocking allreduce (HCMPI_Iallreduce); the
 // globally reduced value is the completion status payload.
 func (n *Node) IAllreduce(data []byte, dt mpi.Datatype, op mpi.Op) *Request {
-	t := n.allocTask()
-	t.kind = kindAllreduce
-	t.buf, t.dt, t.op = data, dt, op
-	req := n.newRequest()
-	t.request = req
-	n.prescribe(t)
-	return req
+	t := n.collTask()
+	t.coll.Allreduce(data, dt, op)
+	return n.startCollective(t)
 }

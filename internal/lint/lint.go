@@ -236,7 +236,7 @@ func sortFindings(out []Finding) {
 // allowMarker suppresses one finding with a stated reason, either
 // trailing the flagged line or as a full-line comment directly above:
 //
-//	n.collQueue <- t //hclint:allow collective runner always drains
+//	n.Isend(buf, peer, tag) //hclint:allow fire-and-forget send: the eager transport copies at post
 const allowMarker = "//hclint:allow"
 
 // allowComment is one //hclint:allow suppression: where it lives, its

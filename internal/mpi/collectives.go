@@ -1,22 +1,13 @@
 package mpi
 
-// Collective operations. All collectives are blocking (the paper's HCMPI
-// supports exactly the blocking set and notes non-blocking collectives as
-// future work, matching the MPI standard of the day). Every rank must call
-// each collective in the same order; a per-rank sequence counter keys the
-// reserved tag space so that successive collectives never cross-match.
+// Collective operations. Every rank must call each collective in the
+// same order; a per-rank sequence counter keys the reserved tag space so
+// that successive collectives never cross-match. Each algorithm is a
+// schedule of rounds (schedule.go): the methods on Schedule below
+// describe a call, the step functions advance it, and the blocking Comm
+// methods start a schedule and drive it to completion.
 
 const collSlots = 64
-
-// nextCollSeq atomically takes this rank's next collective sequence
-// number.
-func (c *Comm) nextCollSeq() int {
-	c.mu.Lock()
-	s := c.collSeq
-	c.collSeq++
-	c.mu.Unlock()
-	return s
-}
 
 func collTag(seq, slot int) int {
 	return maxUserTag + seq*collSlots + slot
@@ -25,170 +16,329 @@ func collTag(seq, slot int) int {
 // Barrier blocks until every rank has entered it (dissemination
 // algorithm, ceil(log2 p) rounds).
 func (c *Comm) Barrier() {
-	c.barrierSeq(c.nextCollSeq())
+	var s Schedule
+	s.Barrier()
+	c.run(&s)
 }
 
-// Bcast broadcasts root's buf to every rank's buf (binomial tree: the
-// parent is vrank with its lowest set bit cleared; children are
-// vrank+mask for masks below the lowest set bit). All ranks must pass
-// buffers of the same length.
+// Bcast broadcasts root's buf to every rank's buf (binomial tree). All
+// ranks must pass buffers of the same length.
 func (c *Comm) Bcast(buf []byte, root int) {
-	c.bcastSeq(buf, root, c.nextCollSeq())
+	var s Schedule
+	s.Bcast(buf, root)
+	c.run(&s)
 }
 
 // Reduce folds every rank's data with op; the result lands at root (other
 // ranks get nil). Binomial-tree reduction.
 func (c *Comm) Reduce(data []byte, dt Datatype, op Op, root int) []byte {
-	return c.reduceSeq(data, dt, op, root, c.nextCollSeq())
+	var s Schedule
+	s.Reduce(data, dt, op, root)
+	c.run(&s)
+	return s.res
 }
 
 // Allreduce folds every rank's data and returns the result on every rank
 // (reduce to rank 0, then broadcast).
 func (c *Comm) Allreduce(data []byte, dt Datatype, op Op) []byte {
-	res := c.Reduce(data, dt, op, 0)
-	if res == nil {
-		res = make([]byte, len(data))
-	}
-	c.Bcast(res, 0)
-	return res
+	var s Schedule
+	s.Allreduce(data, dt, op)
+	c.run(&s)
+	return s.res
 }
 
 // Scan computes the inclusive prefix reduction: rank i receives the fold
 // of ranks 0..i.
 func (c *Comm) Scan(data []byte, dt Datatype, op Op) []byte {
-	seq := c.nextCollSeq()
-	acc := make([]byte, len(data))
-	copy(acc, data)
-	if c.rank > 0 {
-		prev := make([]byte, len(data))
-		rq := c.irecv(prev, c.rank-1, collTag(seq, 2), false)
-		rq.WaitStatus()
-		rq.Free()
-		// acc = prev ⊕ own (fold order matters for non-commutative ops).
-		op.Combine(dt, prev, acc)
-		copy(acc, prev)
-	}
-	if c.rank < c.size-1 {
-		c.isendRetry(acc, c.rank+1, collTag(seq, 2))
-	}
-	return acc
+	var s Schedule
+	s.Scan(data, dt, op)
+	c.run(&s)
+	return s.res
 }
 
 // Scatter distributes parts[i] from root to rank i; every rank returns its
 // own part. Only root's parts argument is consulted.
 func (c *Comm) Scatter(parts [][]byte, root int) []byte {
-	seq := c.nextCollSeq()
-	p := c.size
-	if c.rank == root {
-		if len(parts) != p {
-			panic("mpi: Scatter needs one part per rank")
-		}
-		for r := 0; r < p; r++ {
-			if r == root {
-				continue
-			}
-			c.isendRetry(parts[r], r, collTag(seq, 3))
-		}
-		own := make([]byte, len(parts[root]))
-		copy(own, parts[root])
-		return own
-	}
-	r := c.irecv(nil, root, collTag(seq, 3), true)
-	r.WaitStatus()
-	part := r.payload
-	r.Free()
-	return part
+	var s Schedule
+	s.Scatter(parts, root)
+	c.run(&s)
+	return s.res
 }
 
 // Gather collects each rank's data at root, which receives one slice per
 // rank (indexed by rank); non-roots return nil.
 func (c *Comm) Gather(data []byte, root int) [][]byte {
-	seq := c.nextCollSeq()
-	p := c.size
-	if c.rank != root {
-		c.isendRetry(data, root, collTag(seq, 4))
-		return nil
-	}
-	out := make([][]byte, p)
-	own := make([]byte, len(data))
-	copy(own, data)
-	out[root] = own
-	reqs := make([]*Request, 0, p-1)
-	for r := 0; r < p; r++ {
-		if r == root {
-			continue
-		}
-		reqs = append(reqs, c.irecv(nil, r, collTag(seq, 4), true))
-	}
-	for _, rq := range reqs {
-		rq.WaitStatus()
-	}
-	i := 0
-	for r := 0; r < p; r++ {
-		if r == root {
-			continue
-		}
-		out[r] = reqs[i].payload
-		reqs[i].Free()
-		i++
-	}
-	return out
+	var s Schedule
+	s.Gather(data, root)
+	c.run(&s)
+	return s.out
 }
 
 // Allgather collects each rank's data on every rank.
 func (c *Comm) Allgather(data []byte) [][]byte {
-	seq := c.nextCollSeq()
-	p := c.size
-	out := make([][]byte, p)
-	own := make([]byte, len(data))
-	copy(own, data)
-	out[c.rank] = own
-	reqs := make([]*Request, p)
-	for r := 0; r < p; r++ {
-		if r == c.rank {
-			continue
-		}
-		reqs[r] = c.irecv(nil, r, collTag(seq, 5), true)
-		c.isendRetry(data, r, collTag(seq, 5))
-	}
-	for r := 0; r < p; r++ {
-		if r == c.rank {
-			continue
-		}
-		reqs[r].WaitStatus()
-		out[r] = reqs[r].payload
-		reqs[r].Free()
-	}
-	return out
+	var s Schedule
+	s.Allgather(data)
+	c.run(&s)
+	return s.out
 }
 
 // Alltoall sends parts[r] to rank r and returns the slice of parts
 // received, indexed by source rank.
 func (c *Comm) Alltoall(parts [][]byte) [][]byte {
-	seq := c.nextCollSeq()
-	p := c.size
-	if len(parts) != p {
-		panic("mpi: Alltoall needs one part per rank")
+	var s Schedule
+	s.Alltoall(parts)
+	c.run(&s)
+	return s.out
+}
+
+// Barrier describes a barrier.
+func (s *Schedule) Barrier() { s.describe(algBarrier) }
+
+// Bcast describes a broadcast of root's buf into every rank's buf. The
+// buffer must not be touched until the schedule finishes.
+func (s *Schedule) Bcast(buf []byte, root int) {
+	s.describe(algBcast)
+	s.data, s.root = buf, root
+}
+
+// Reduce describes a reduction to root.
+func (s *Schedule) Reduce(data []byte, dt Datatype, op Op, root int) {
+	s.describe(algReduce)
+	s.data, s.dt, s.op, s.root = data, dt, op, root
+}
+
+// Allreduce describes an allreduce.
+func (s *Schedule) Allreduce(data []byte, dt Datatype, op Op) {
+	s.describe(algAllreduce)
+	s.data, s.dt, s.op = data, dt, op
+}
+
+// Scan describes an inclusive prefix reduction.
+func (s *Schedule) Scan(data []byte, dt Datatype, op Op) {
+	s.describe(algScan)
+	s.data, s.dt, s.op = data, dt, op
+}
+
+// Scatter describes a scatter of root's parts.
+func (s *Schedule) Scatter(parts [][]byte, root int) {
+	s.describe(algScatter)
+	s.parts, s.root = parts, root
+}
+
+// Gather describes a gather at root.
+func (s *Schedule) Gather(data []byte, root int) {
+	s.describe(algGather)
+	s.data, s.root = data, root
+}
+
+// Allgather describes an allgather.
+func (s *Schedule) Allgather(data []byte) {
+	s.describe(algAllgather)
+	s.data = data
+}
+
+// Alltoall describes an all-to-all exchange of parts.
+func (s *Schedule) Alltoall(parts [][]byte) {
+	s.describe(algAlltoall)
+	s.parts = parts
+}
+
+// The step functions below run an algorithm from its current position —
+// first from Start, then each time the round they posted has completed —
+// and report whether it has finished.
+
+// barrier is the dissemination barrier: in round k a rank signals rank+2^k
+// and waits for rank−2^k, for ceil(log2 p) rounds.
+func (s *Schedule) barrier() bool {
+	c, p := s.c, s.c.size
+	if len(s.reqs) > 0 {
+		s.freeRound()
+		s.phase++
 	}
-	out := make([][]byte, p)
-	own := make([]byte, len(parts[c.rank]))
-	copy(own, parts[c.rank])
-	out[c.rank] = own
-	reqs := make([]*Request, p)
-	for r := 0; r < p; r++ {
-		if r == c.rank {
-			continue
+	d := 1 << s.phase
+	if d >= p {
+		return true
+	}
+	tag := collTag(s.seq, s.phase)
+	s.recv(nil, (c.rank-d+p)%p, tag)
+	s.send(nil, (c.rank+d)%p, tag)
+	return false
+}
+
+// bcast is a binomial tree from root over s.res: a rank at virtual rank
+// v > 0 receives from v with its lowest set bit cleared, then every rank
+// forwards to v+m for each power of two m below v's lowest set bit (every
+// m, at the root).
+func (s *Schedule) bcast() bool {
+	c, p := s.c, s.c.size
+	v := (c.rank - s.root + p) % p
+	tag := collTag(s.seq, 0)
+	if v != 0 && s.phase == 0 {
+		s.phase = 1
+		s.recv(s.res, (v&(v-1)+s.root)%p, tag)
+		return false
+	}
+	s.freeRound()
+	stop := p
+	if v != 0 {
+		stop = v & -v
+	}
+	for m := 1; m < stop && v+m < p; m <<= 1 {
+		s.send(s.res, (v+m+s.root)%p, tag)
+	}
+	return true
+}
+
+// reduce folds the ranks' accumulators toward root over a binomial tree:
+// at distance m a rank whose virtual rank v has bit m set sends its
+// accumulator to v−m and is done; otherwise it folds in the accumulator
+// of v+m, if that rank exists.
+func (s *Schedule) reduce() bool {
+	c, p := s.c, s.c.size
+	v := (c.rank - s.root + p) % p
+	tag := collTag(s.seq, 1)
+	if s.mask == 0 {
+		s.mask = 1
+	} else {
+		s.freeRound()
+		s.op.Combine(s.dt, s.acc, s.tmp)
+		s.mask <<= 1
+	}
+	for ; s.mask < p; s.mask <<= 1 {
+		if v&s.mask != 0 {
+			s.send(s.acc, (v-s.mask+s.root)%p, tag)
+			return true
 		}
-		reqs[r] = c.irecv(nil, r, collTag(seq, 6), true)
-		c.isendRetry(parts[r], r, collTag(seq, 6))
-	}
-	for r := 0; r < p; r++ {
-		if r == c.rank {
-			continue
+		if v+s.mask < p {
+			if s.tmp == nil {
+				s.tmp = s.borrow(len(s.acc))
+			}
+			s.recv(s.tmp, (v+s.mask+s.root)%p, tag)
+			return false
 		}
-		reqs[r].WaitStatus()
-		out[r] = reqs[r].payload
-		reqs[r].Free()
 	}
+	return true
+}
+
+// scan is linear: rank i waits for the fold of ranks 0..i−1 from rank
+// i−1, folds its own data in behind it and passes the result on to i+1.
+func (s *Schedule) scan() bool {
+	c := s.c
+	tag := collTag(s.seq, 2)
+	if c.rank > 0 {
+		if s.phase == 0 {
+			s.phase = 1
+			s.tmp = s.borrow(len(s.acc))
+			s.recv(s.tmp, c.rank-1, tag)
+			return false
+		}
+		s.freeRound()
+		// acc = prev ⊕ own (fold order matters for non-commutative ops).
+		s.op.Combine(s.dt, s.tmp, s.acc)
+		copy(s.acc, s.tmp)
+	}
+	if c.rank < c.size-1 {
+		s.send(s.acc, c.rank+1, tag)
+	}
+	return true
+}
+
+// scatter is linear: root sends every other rank its part.
+func (s *Schedule) scatter() bool {
+	c := s.c
+	tag := collTag(s.seq, 3)
+	if c.rank == s.root {
+		for r, part := range s.parts {
+			if r != s.root {
+				s.send(part, r, tag)
+			}
+		}
+		s.res = make([]byte, len(s.parts[s.root]))
+		copy(s.res, s.parts[s.root])
+		return true
+	}
+	if s.phase == 0 {
+		s.phase = 1
+		s.recvAdopt(s.root, tag)
+		return false
+	}
+	s.res = s.reqs[0].payload
+	s.freeRound()
+	return true
+}
+
+// gather is linear: every other rank sends root its data.
+func (s *Schedule) gather() bool {
+	c := s.c
+	tag := collTag(s.seq, 4)
+	if c.rank != s.root {
+		s.send(s.data, s.root, tag)
+		return true
+	}
+	if s.phase == 0 {
+		s.phase = 1
+		s.out = s.own(s.data)
+		for r := range s.out {
+			if r != c.rank {
+				s.recvAdopt(r, tag)
+			}
+		}
+		return false
+	}
+	s.collect()
+	return true
+}
+
+// exchange is the linear all-to-all under Allgather (every rank's data
+// to every rank) and Alltoall (parts[r] to rank r): one round that posts
+// a receive from and a send to every other rank.
+func (s *Schedule) exchange() bool {
+	c := s.c
+	if s.phase == 1 {
+		s.collect()
+		return true
+	}
+	s.phase = 1
+	tag := collTag(s.seq, 5)
+	if s.alg == algAlltoall {
+		tag = collTag(s.seq, 6)
+	}
+	s.out = s.own(s.partFor(c.rank))
+	for r := range s.out {
+		if r != c.rank {
+			s.recvAdopt(r, tag)
+			s.send(s.partFor(r), r, tag)
+		}
+	}
+	return false
+}
+
+// partFor is what an exchange sends rank r.
+func (s *Schedule) partFor(r int) []byte {
+	if s.alg == algAlltoall {
+		return s.parts[r]
+	}
+	return s.data
+}
+
+// own starts a gather-style result: one slot per rank, this rank's
+// holding a copy of its own contribution.
+func (s *Schedule) own(data []byte) [][]byte {
+	out := make([][]byte, s.c.size)
+	out[s.c.rank] = make([]byte, len(data))
+	copy(out[s.c.rank], data)
 	return out
+}
+
+// collect moves the round's adopted payloads into out: one receive per
+// rank other than this one, posted in rank order.
+func (s *Schedule) collect() {
+	i := 0
+	for r := range s.out {
+		if r != s.c.rank {
+			s.out[r] = s.reqs[i].payload
+			i++
+		}
+	}
+	s.freeRound()
 }

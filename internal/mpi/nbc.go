@@ -4,121 +4,35 @@ package mpi
 // non-blocking collectives and says HCMPI "will add support ... once they
 // become part of the MPI standard"; they since have (MPI_Ibarrier,
 // MPI_Ibcast, MPI_Iallreduce, ...), so this substrate provides them as
-// the paper's named future work. Each returns a Request that completes
-// when the collective finishes; the algorithm runs on a helper goroutine
-// over the same reserved tag space as the blocking collectives, so
-// blocking and non-blocking collectives can be freely mixed as long as
-// every rank issues them in the same order.
+// the paper's named future work. Each starts the collective's schedule
+// and returns it as the handle: there is no helper goroutine, so the
+// collective advances when its owner tests or waits on it (MPI's weak
+// progress rule). The rounds use the same reserved tag space as the
+// blocking collectives, so blocking and non-blocking collectives can be
+// freely mixed as long as every rank issues them in the same order.
 
 // Ibarrier starts a non-blocking barrier.
-func (c *Comm) Ibarrier() *Request {
-	seq := c.nextCollSeq()
-	req := c.newRequest(reqSend)
-	go func() {
-		c.barrierSeq(seq)
-		req.complete(Status{})
-	}()
-	return req
-}
-
-// barrierSeq is the dissemination barrier body for a pre-taken sequence
-// number.
-func (c *Comm) barrierSeq(seq int) {
-	p := c.size
-	if p == 1 {
-		return
-	}
-	me := c.rank
-	var empty [1]byte
-	for k, round := 1, 0; k < p; k, round = k<<1, round+1 {
-		to := (me + k) % p
-		from := (me - k + p) % p
-		r := c.irecv(empty[:], from, collTag(seq, round), false)
-		c.isendRetry(nil, to, collTag(seq, round))
-		r.WaitStatus()
-		r.Free()
-	}
+func (c *Comm) Ibarrier() *Schedule {
+	s := &Schedule{}
+	s.Barrier()
+	s.Start(c)
+	return s
 }
 
 // Ibcast starts a non-blocking broadcast of root's buf into every rank's
-// buf. The buffer must not be touched until the request completes.
-func (c *Comm) Ibcast(buf []byte, root int) *Request {
-	seq := c.nextCollSeq()
-	req := c.newRequest(reqSend)
-	go func() {
-		c.bcastSeq(buf, root, seq)
-		req.complete(Status{Bytes: len(buf)})
-	}()
-	return req
+// buf. The buffer must not be touched until the schedule finishes.
+func (c *Comm) Ibcast(buf []byte, root int) *Schedule {
+	s := &Schedule{}
+	s.Bcast(buf, root)
+	s.Start(c)
+	return s
 }
 
-// bcastSeq is Bcast's binomial tree for a pre-taken sequence number.
-func (c *Comm) bcastSeq(buf []byte, root, seq int) {
-	p := c.size
-	if p == 1 {
-		return
-	}
-	vrank := (c.rank - root + p) % p
-	if vrank != 0 {
-		parent := (vrank&(vrank-1) + root) % p
-		rq := c.irecv(buf, parent, collTag(seq, 0), false)
-		rq.WaitStatus()
-		rq.Free()
-	}
-	stop := p
-	if vrank != 0 {
-		stop = vrank & -vrank
-	}
-	for mask := 1; mask < stop && vrank+mask < p; mask <<= 1 {
-		child := (vrank + mask + root) % p
-		c.isendRetry(buf, child, collTag(seq, 0))
-	}
-}
-
-// Iallreduce starts a non-blocking allreduce; the result is delivered in
-// the completion status payload (Request.Payload).
-func (c *Comm) Iallreduce(data []byte, dt Datatype, op Op) *Request {
-	seqR := c.nextCollSeq()
-	seqB := c.nextCollSeq()
-	req := c.newRequest(reqRecv)
-	req.takeAll = true
-	own := make([]byte, len(data))
-	copy(own, data)
-	go func() {
-		res := c.reduceSeq(own, dt, op, 0, seqR)
-		if res == nil {
-			res = make([]byte, len(own))
-		}
-		c.bcastSeq(res, 0, seqB)
-		req.payload = res
-		req.complete(Status{Bytes: len(res)})
-	}()
-	return req
-}
-
-// reduceSeq is Reduce's binomial tree for a pre-taken sequence number.
-func (c *Comm) reduceSeq(data []byte, dt Datatype, op Op, root, seq int) []byte {
-	p := c.size
-	acc := make([]byte, len(data))
-	copy(acc, data)
-	if p == 1 {
-		return acc
-	}
-	vrank := (c.rank - root + p) % p
-	tmp := make([]byte, len(data))
-	for mask := 1; mask < p; mask <<= 1 {
-		if vrank&mask != 0 {
-			parent := (vrank - mask + root) % p
-			c.isendRetry(acc, parent, collTag(seq, 1))
-			return nil
-		}
-		if vrank+mask < p {
-			child := (vrank + mask + root) % p
-			rq := c.irecv(tmp, child, collTag(seq, 1), false)
-			rq.WaitStatus()
-			rq.Free()
-			op.Combine(dt, acc, tmp)
-		}
-	}
-	return acc
+// Iallreduce starts a non-blocking allreduce; the result is the
+// schedule's Payload once it has finished. data is copied at the call.
+func (c *Comm) Iallreduce(data []byte, dt Datatype, op Op) *Schedule {
+	s := &Schedule{}
+	s.Allreduce(data, dt, op)
+	s.Start(c)
+	return s
 }

@@ -96,7 +96,7 @@ func TestManyConcurrentIbarriers(t *testing.T) {
 	const k = 10
 	w := NewWorld(n)
 	w.Run(func(c *Comm) {
-		reqs := make([]*Request, k)
+		reqs := make([]*Schedule, k)
 		for i := range reqs {
 			reqs[i] = c.Ibarrier()
 		}

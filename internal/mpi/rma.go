@@ -61,17 +61,33 @@ func (c *Comm) winByID(id int) *Win {
 // WinCreate collectively creates a window exposing buf on every rank.
 // All ranks must call it in the same order.
 func (c *Comm) WinCreate(buf []byte) *Win {
+	var s Schedule
+	w := s.WinCreate(buf)
+	c.run(&s)
+	return w
+}
+
+// WinCreate describes the collective creation of a window over buf and
+// returns the window, usable once the schedule has finished: Start
+// registers it locally, and a barrier then makes it exist everywhere
+// before any RMA can target it.
+func (s *Schedule) WinCreate(buf []byte) *Win {
+	s.describe(algWinCreate)
+	s.win = &Win{buf: buf, pendingGets: map[int]*Request{}}
+	return s.win
+}
+
+// register gives w the next window id on c. Every rank creates its
+// windows in the same order, so the ids agree.
+func (c *Comm) register(w *Win) {
 	c.mu.Lock()
-	id := c.nextWin
+	w.comm, w.id = c, c.nextWin
 	c.nextWin++
-	w := &Win{comm: c, id: id, buf: buf, pendingGets: map[int]*Request{}}
 	if c.wins == nil {
 		c.wins = map[int]*Win{}
 	}
-	c.wins[id] = w
+	c.wins[w.id] = w
 	c.mu.Unlock()
-	c.Barrier() // window exists everywhere before any RMA
-	return w
 }
 
 // Buf returns the locally exposed buffer.
@@ -271,38 +287,52 @@ func (w *Win) track(r *Request) {
 // so that on return every rank observes all pre-fence RMAs
 // (MPI_Win_fence with assert 0).
 func (w *Win) Fence() {
-	w.mu.Lock()
-	pending := w.epochPending
-	w.epochPending = nil
-	w.mu.Unlock()
-	for _, r := range pending {
-		r.Wait()
-	}
-	w.comm.fenceSync()
+	var s Schedule
+	s.Fence(w)
+	w.comm.run(&s)
 }
 
-// fenceSync synchronizes the ranks at a fence with an all-to-all marker
-// exchange. A dissemination barrier is not enough: it tells a rank that
-// every peer has entered, transitively, but hears from only log p of
-// them directly, and on a transport where a Put "completes" once it is
-// written to the peer's connection (TCP) a put from one of the others may
-// still be in flight when the barrier lets go. A marker travels behind
-// its sender's puts on the same ordered channel, and one-sided
-// operations are applied at delivery, so a rank holding every peer's
-// marker has had every pre-fence RMA applied to its window.
-func (c *Comm) fenceSync() {
-	seq := c.nextCollSeq()
-	markers := make([]byte, c.size)
-	reqs := make([]*Request, 0, c.size-1)
-	for r := 0; r < c.size; r++ {
-		if r == c.rank {
-			continue
+// Fence describes closing w's access epoch.
+func (s *Schedule) Fence(w *Win) {
+	s.describe(algFence)
+	s.win = w
+}
+
+// fence is one round that waits for the one-sided operations of the
+// closing epoch, then an all-to-all marker exchange. A dissemination
+// barrier is not enough for the second round: it tells a rank that every
+// peer has entered, transitively, but hears from only log p of them
+// directly, and on a transport where a Put "completes" once it is written
+// to the peer's connection (TCP) a put from one of the others may still
+// be in flight when the barrier lets go. A marker travels behind its
+// sender's puts on the same ordered channel, and one-sided operations are
+// applied at delivery, so a rank holding every peer's marker has had
+// every pre-fence RMA applied to its window.
+func (s *Schedule) fence() bool {
+	c, w := s.c, s.win
+	switch s.phase {
+	case 0:
+		s.phase = 1
+		w.mu.Lock()
+		s.reqs = append(s.reqs, w.epochPending...)
+		clear(w.epochPending)
+		w.epochPending = w.epochPending[:0]
+		w.mu.Unlock()
+		return false
+	case 1:
+		// The epoch's requests belong to their callers: let go, not free.
+		clear(s.reqs)
+		s.reqs = s.reqs[:0]
+		s.phase = 2
+		tag := collTag(s.seq, 0)
+		for r := 0; r < c.size; r++ {
+			if r != c.rank {
+				s.recv(nil, r, tag)
+				s.send(nil, r, tag)
+			}
 		}
-		reqs = append(reqs, c.irecv(markers[r:r+1], r, collTag(seq, 0), false))
-		c.isendRetry(nil, r, collTag(seq, 0))
+		return false
 	}
-	for _, r := range reqs {
-		r.WaitStatus()
-		r.Free()
-	}
+	s.freeRound()
+	return true
 }
