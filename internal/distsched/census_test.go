@@ -45,7 +45,7 @@ func TestCensusFrameInHand(t *testing.T) {
 		{"migrated-frame-in-hand", func(root *TaskCtx) {
 			s := root.s
 			s.ctr.migrated.Add(1)
-			s.incoming.Push(&frame{id: s.nextID(), kind: s.kindIndex["leaf"]})
+			s.incoming.Push(&frame{kind: s.kindIndex["leaf"]})
 		}},
 	} {
 		sc := sc

@@ -98,7 +98,6 @@ type Scheduler struct {
 	errMu sync.Mutex
 	err   error
 
-	seq         atomic.Int64
 	searchNanos atomic.Int64
 
 	ring *trace.Ring
@@ -209,7 +208,7 @@ func (s *Scheduler) Register(kind string, h Handler) {
 func (s *Scheduler) Submit(kind string, payload []byte) {
 	idx := s.kindOf(kind, "Submit")
 	s.ctr.spawned.Add(1)
-	s.inject.Push(&frame{id: s.nextID(), kind: idx, payload: payload})
+	s.inject.Push(&frame{kind: idx, payload: payload})
 }
 
 // kindOf resolves a registered kind to its wire index; op names the
@@ -220,10 +219,6 @@ func (s *Scheduler) kindOf(kind, op string) uint16 {
 		panic("distsched: " + op + " of unregistered kind " + kind)
 	}
 	return idx
-}
-
-func (s *Scheduler) nextID() int64 {
-	return int64(s.node.Rank())<<frameIDRankShift | s.seq.Add(1)
 }
 
 // TaskCtx is a handler's execution context: one per driver, so nothing
@@ -271,7 +266,7 @@ func (tc *TaskCtx) Spawn(kind string, payload []byte) {
 	if !ok {
 		f = newFrame()
 	}
-	f.id, f.kind, f.payload, f.owned = s.nextID(), idx, payload, true
+	f.kind, f.payload, f.owned = idx, payload, true
 	// Counted before it is published: quiescent() may never see a frame
 	// it cannot account for.
 	s.ctr.spawned.Add(1)

@@ -200,9 +200,12 @@ func TestDistSchedSingleRank(t *testing.T) {
 // pooled payload staging on the receive side.
 func TestFrameCodecRoundTrip(t *testing.T) {
 	in := []*frame{
-		{id: 1<<frameIDRankShift | 7, kind: 2, payload: []byte("alpha")},
-		{id: 42, kind: 0, payload: nil},
-		{id: 3, kind: 1, payload: bytes.Repeat([]byte{0xAB}, 300)},
+		{kind: 2, payload: []byte("alpha")},
+		{kind: 0, payload: nil},
+		{kind: 1, payload: bytes.Repeat([]byte{0xAB}, 300)},
+	}
+	if got, want := len(encodeFrames(in)), 4+3*frameHeader+5+300; got != want {
+		t.Fatalf("grant of %d bytes, want %d", got, want)
 	}
 	pool := bufpool.New()
 	out, err := decodeFrames(encodeFrames(in), pool)
@@ -213,7 +216,7 @@ func TestFrameCodecRoundTrip(t *testing.T) {
 		t.Fatalf("len %d", len(out))
 	}
 	for i := range in {
-		if out[i].id != in[i].id || out[i].kind != in[i].kind || !bytes.Equal(out[i].payload, in[i].payload) {
+		if out[i].kind != in[i].kind || !bytes.Equal(out[i].payload, in[i].payload) {
 			t.Fatalf("frame %d mismatch: %+v vs %+v", i, out[i], in[i])
 		}
 		if len(out[i].payload) > 0 && !out[i].owned {

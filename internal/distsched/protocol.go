@@ -41,43 +41,41 @@ const (
 
 // frame is one migratable task: a closure descriptor (the kind index
 // into the scheduler's registration table, identical across ranks by
-// SPMD construction) plus an opaque payload. id is globally unique
-// (rank in the high bits) so chaos tests can assert no frame is ever
-// duplicated.
+// SPMD construction) plus an opaque payload. A frame has no identity
+// beyond that; the chaos tests detect a duplicated frame by its
+// payload.
 type frame struct {
-	id      int64
-	kind    uint16
 	payload []byte
+	kind    uint16
 	owned   bool // made by Spawn or a grant: payload and struct are the scheduler's to recycle; a Submit seed's are not
 }
 
 // frameListCap bounds each driver's list of executed frames kept for
-// Spawn to reuse (40 B each); past it they fall to the GC.
+// Spawn to reuse (32 B each); past it they fall to the GC.
 const frameListCap = 256
 
 // newFrame is Spawn's slow path: the driver's free list was empty.
 func newFrame() *frame { return new(frame) }
 
-// frameIDRankShift packs the spawning rank into frame ids.
-const frameIDRankShift = 40
+// frameHeader is a frame's wire header: [kind u16][plen u32].
+const frameHeader = 2 + 4
 
 // encodeFrames serializes a batch for a steal grant:
-// [count u32] then per frame [id i64][kind u16][plen u32][payload].
+// [count u32] then per frame [kind u16][plen u32][payload].
 // The wire buffer is freshly allocated — transports may retain a
 // reference to sent buffers, so it is never recycled on the send side.
 func encodeFrames(fs []*frame) []byte {
 	n := 4
 	for _, f := range fs {
-		n += 8 + 2 + 4 + len(f.payload)
+		n += frameHeader + len(f.payload)
 	}
 	b := make([]byte, n)
 	binary.LittleEndian.PutUint32(b, uint32(len(fs)))
 	off := 4
 	for _, f := range fs {
-		binary.LittleEndian.PutUint64(b[off:], uint64(f.id))
-		binary.LittleEndian.PutUint16(b[off+8:], f.kind)
-		binary.LittleEndian.PutUint32(b[off+10:], uint32(len(f.payload)))
-		off += 14
+		binary.LittleEndian.PutUint16(b[off:], f.kind)
+		binary.LittleEndian.PutUint32(b[off+2:], uint32(len(f.payload)))
+		off += frameHeader
 		copy(b[off:], f.payload)
 		off += len(f.payload)
 	}
@@ -95,15 +93,12 @@ func decodeFrames(b []byte, pool *bufpool.Pool) ([]*frame, error) {
 	fs := make([]*frame, 0, count)
 	off := 4
 	for i := 0; i < count; i++ {
-		if len(b)-off < 14 {
+		if len(b)-off < frameHeader {
 			return nil, fmt.Errorf("distsched: truncated frame header at %d", off)
 		}
-		f := &frame{
-			id:   int64(binary.LittleEndian.Uint64(b[off:])),
-			kind: binary.LittleEndian.Uint16(b[off+8:]),
-		}
-		plen := int(binary.LittleEndian.Uint32(b[off+10:]))
-		off += 14
+		f := &frame{kind: binary.LittleEndian.Uint16(b[off:])}
+		plen := int(binary.LittleEndian.Uint32(b[off+2:]))
+		off += frameHeader
 		if len(b)-off < plen {
 			return nil, fmt.Errorf("distsched: truncated frame payload at %d", off)
 		}

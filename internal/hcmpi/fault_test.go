@@ -148,6 +148,48 @@ func TestChaosCrashedRankFailsPending(t *testing.T) {
 	})
 }
 
+// A collective with an errored round no longer completes silently: rank
+// 0 crashes while ranks 1 and 2 are inside an Allreduce rooted at it.
+// The survivors' schedules still finish (nobody hangs waiting for the
+// dead root), and the collective task completes with ErrRankFailed.
+func TestCollectiveCrashedRankFailsAllreduce(t *testing.T) {
+	w := mpi.NewWorld(3)
+	entered := make(chan struct{}, 2)
+	go func() {
+		<-entered
+		<-entered
+		w.FailRank(0)
+	}()
+	start := time.Now()
+	w.Run(func(c *mpi.Comm) {
+		// The victim's own Close barrier cannot complete; a short
+		// deadline lets it give up. The survivors' is long, so an
+		// ErrRankFailed cannot be mistaken for a timeout.
+		cfg := Config{Workers: 2, OpTimeout: 10 * time.Second}
+		if c.Rank() == 0 {
+			cfg.OpTimeout = 50 * time.Millisecond
+		}
+		n := NewNode(c, cfg)
+		n.Main(func(ctx *hc.Ctx) {
+			if n.Rank() == 0 {
+				return
+			}
+			req := n.IAllreduce(mpi.EncodeInt64(int64(n.Rank())), mpi.Int64, mpi.OpSum)
+			entered <- struct{}{}
+			if st := n.Wait(ctx, req); !errors.Is(st.Err, mpi.ErrRankFailed) {
+				t.Errorf("rank %d: allreduce with rank 0 crashed: %+v, want ErrRankFailed", n.Rank(), st)
+			}
+			if n.StatsSnapshot().Failures == 0 {
+				t.Errorf("rank %d: failed collective not counted", n.Rank())
+			}
+		})
+		n.Close()
+	})
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("job with a crashed root took %v", d)
+	}
+}
+
 // A stalled rank is slow, not dead: with a deadline wider than the stall
 // everything completes cleanly.
 func TestChaosStalledRankRecovers(t *testing.T) {

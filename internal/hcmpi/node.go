@@ -649,13 +649,17 @@ func (n *Node) watch(t *commTask, clk *sweepClock) {
 }
 
 // advance advances a collective task's schedule and publishes its result
-// once it has finished, reporting whether it has.
+// once it has finished, reporting whether it has. A schedule that ran
+// through an errored round (a crashed peer) completes with that error.
 func (n *Node) advance(t *commTask) bool {
 	if !t.coll.Progress() {
 		return false
 	}
-	res := t.coll.Payload()
-	n.completeLocal(t, &Status{Bytes: len(res), Payload: res, Parts: t.coll.Parts()})
+	res, err := t.coll.Payload(), t.coll.Err()
+	if err != nil {
+		n.stats.failures.Add(1)
+	}
+	n.completeLocal(t, &Status{Bytes: len(res), Payload: res, Parts: t.coll.Parts(), Err: err})
 	return true
 }
 

@@ -163,6 +163,23 @@ func TestCrashedRankFailsPending(t *testing.T) {
 	}
 }
 
+// A collective whose root crashes while the others are inside it still
+// finishes on the survivors — the schedule feeds every round they wait
+// on — but with the errored round's ErrRankFailed in its status instead
+// of a result that silently left a rank out.
+func TestCrashedRankFailsCollective(t *testing.T) {
+	w := NewWorld(3)
+	defer w.Close()
+	s1 := w.Comm(1).Iallreduce(EncodeInt64(1), Int64, OpSum)
+	s2 := w.Comm(2).Iallreduce(EncodeInt64(2), Int64, OpSum)
+	w.FailRank(0)
+	for r, s := range []*Schedule{s1, s2} {
+		if st := s.Wait(); !errors.Is(st.Err, ErrRankFailed) || !errors.Is(s.Err(), ErrRankFailed) {
+			t.Errorf("rank %d: allreduce with rank 0 crashed: %+v, want ErrRankFailed", r+1, st)
+		}
+	}
+}
+
 // A stalled (slow) rank delays traffic but loses nothing: operations with
 // generous deadlines complete normally once the stall window passes.
 func TestStalledRankRecovers(t *testing.T) {

@@ -15,9 +15,11 @@ package mpi
 // Sends are eager (the payload is copied at post), so a round waits only
 // for its receives; a send is recycled once it is seen complete, and one
 // still in flight when the schedule finishes is left to the transport.
-// An errored receive (a crashed peer) completes its round like any
+// An errored request (a crashed peer) completes its round like any
 // other: the schedule keeps feeding the rounds its surviving peers wait
-// on.
+// on, and the first error it recycles becomes the collective's
+// Status.Err, so a survivor learns that its result is not the fold of
+// every rank.
 
 // collAlg names a schedule's algorithm.
 type collAlg uint8
@@ -66,6 +68,7 @@ type Schedule struct {
 	tmp     []byte     // an incoming operand
 	res     []byte     // the result (the broadcast buffer for Bcast)
 	out     [][]byte   // per-rank results of gather-style collectives
+	err     error      // the first errored request's Err
 	done    bool
 }
 
@@ -224,7 +227,11 @@ func (s *Schedule) Payload() []byte { return s.res }
 // Parts returns a gather-style collective's per-rank results.
 func (s *Schedule) Parts() [][]byte { return s.out }
 
-func (s *Schedule) status() Status { return Status{Bytes: len(s.res)} }
+// Err returns the first error any of the collective's requests completed
+// with, or nil.
+func (s *Schedule) Err() error { return s.err }
+
+func (s *Schedule) status() Status { return Status{Bytes: len(s.res), Err: s.err} }
 
 // wait blocks on the current round's requests between advances.
 func (s *Schedule) wait() {
@@ -259,16 +266,25 @@ func (s *Schedule) recvAdopt(src, tag int) {
 func (s *Schedule) send(buf []byte, dest, tag int) {
 	r := s.c.isendRetry(buf, dest, tag)
 	if r.isDone() {
-		r.Free()
+		s.free(r)
 		return
 	}
 	s.sends = append(s.sends, r)
 }
 
+// free recycles a completed request, keeping its error if it is the
+// schedule's first.
+func (s *Schedule) free(r *Request) {
+	if s.err == nil {
+		s.err = r.status.Err
+	}
+	r.Free()
+}
+
 // freeRound recycles the completed round's requests.
 func (s *Schedule) freeRound() {
 	for i, r := range s.reqs {
-		r.Free()
+		s.free(r)
 		s.reqs[i] = nil
 	}
 	s.reqs = s.reqs[:0]
@@ -279,7 +295,7 @@ func (s *Schedule) reapSends() {
 	live := s.sends[:0]
 	for _, r := range s.sends {
 		if r.isDone() {
-			r.Free()
+			s.free(r)
 		} else {
 			live = append(live, r)
 		}

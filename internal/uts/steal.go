@@ -94,7 +94,10 @@ func (s *nodeStack) grow(k int) {
 func (s *nodeStack) push(n Node) { s.buf[s.reserve(1)] = n }
 
 // expand explores up to interval nodes from the top of the stack (the
-// -i knob).
+// -i knob). It is the package's one traversal loop: the three ports and
+// SeqCount all count the tree through it. A popped node's children are
+// derived straight into the slots reserved for them, its own slot
+// first, so the node is held in a local while they are written.
 //
 //hclint:hotpath
 func (s *nodeStack) expand(cfg *Config, interval int, ctr *Counters) {
@@ -108,7 +111,7 @@ func (s *nodeStack) expand(cfg *Config, interval int, ctr *Counters) {
 		if k := cfg.NumChildren(n); k > 0 {
 			top := s.reserve(k)
 			for j := 0; j < k; j++ {
-				s.buf[top+j] = cfg.Child(n, j)
+				cfg.childInto(&s.buf[top+j], &n, j)
 			}
 		}
 	}

@@ -145,16 +145,19 @@ func decodeNode(b []byte) (n Node) {
 	return n
 }
 
+// The per-node methods below (Root, Child, childInto, value,
+// NumChildren) take the Config by pointer: a node costs a few
+// nanoseconds of hashing, and copying the 88-byte Config into every
+// call would cost more than the hash (DESIGN.md §13).
+
 // Root returns the tree's root descriptor.
-func (c Config) Root() Node {
+func (c *Config) Root() Node {
 	var n Node
 	switch c.Hash {
 	case HashSHA1:
-		h := sha1.New()
 		var seed [8]byte
 		binary.LittleEndian.PutUint64(seed[:], uint64(c.Seed))
-		h.Write(seed[:])
-		copy(n.State[:], h.Sum(nil))
+		n.State = sha1.Sum(seed[:])
 	case HashSplitMix:
 		binary.LittleEndian.PutUint64(n.State[:8], splitmix64(uint64(c.Seed)))
 	}
@@ -162,37 +165,45 @@ func (c Config) Root() Node {
 }
 
 // Child derives the i-th child's descriptor.
-func (c Config) Child(parent Node, i int) Node {
-	child := Node{Depth: parent.Depth + 1}
-	switch c.Hash {
-	case HashSHA1:
-		h := sha1.New()
-		h.Write(parent.State[:])
-		var idx [4]byte
-		binary.LittleEndian.PutUint32(idx[:], uint32(i))
-		h.Write(idx[:])
-		copy(child.State[:], h.Sum(nil))
-	case HashSplitMix:
-		s := binary.LittleEndian.Uint64(parent.State[:8])
-		binary.LittleEndian.PutUint64(child.State[:8], splitmix64(s^(uint64(i)*0x9E3779B97F4A7C15+0xD1B54A32D192ED03)))
-	}
+func (c *Config) Child(parent Node, i int) Node {
+	var child Node
+	c.childInto(&child, &parent, i)
 	return child
 }
 
+// childInto writes the i-th child of parent into dst, every byte of it.
+// It is the node kernel: nodeStack.expand derives every child straight
+// into its stack slot with it. The child's state is splitmix64 of the
+// parent's and i, or SHA-1(parent state ‖ i).
+//
+//hclint:hotpath
+func (c *Config) childInto(dst, parent *Node, i int) {
+	if c.Hash == HashSplitMix {
+		s := binary.LittleEndian.Uint64(parent.State[:8])
+		binary.LittleEndian.PutUint64(dst.State[:8], splitmix64(s^(uint64(i)*0x9E3779B97F4A7C15+0xD1B54A32D192ED03)))
+		clear(dst.State[8:])
+	} else {
+		var in [descBytes + 4]byte
+		copy(in[:], parent.State[:])
+		binary.LittleEndian.PutUint32(in[descBytes:], uint32(i))
+		dst.State = sha1.Sum(in[:])
+	}
+	dst.Depth = parent.Depth + 1
+}
+
 // value extracts the node's uniform variate in [0,1).
-func (c Config) value(n Node) float64 {
-	var v uint64
-	switch c.Hash {
-	case HashSHA1:
-		v = binary.LittleEndian.Uint64(n.State[:8])
-	case HashSplitMix:
-		v = splitmix64(binary.LittleEndian.Uint64(n.State[:8]) ^ 0xA3EC647659359ACD)
+func (c *Config) value(n *Node) float64 {
+	v := binary.LittleEndian.Uint64(n.State[:8])
+	if c.Hash == HashSplitMix {
+		v = splitmix64(v ^ 0xA3EC647659359ACD)
 	}
 	return float64(v>>11) / float64(1<<53)
 }
 
 // NumChildren evaluates the branching process at n.
-func (c Config) NumChildren(n Node) int {
+//
+//hclint:hotpath
+func (c *Config) NumChildren(n Node) int {
 	switch c.Type {
 	case Geometric:
 		if int(n.Depth) >= c.GenMx {
@@ -208,7 +219,7 @@ func (c Config) NumChildren(n Node) int {
 		// Geometric distribution with mean b: P(k) = p(1-p)^k,
 		// p = 1/(1+b); inverse-transform sampling.
 		p := 1 / (1 + b)
-		u := c.value(n)
+		u := c.value(&n)
 		if u >= 1 {
 			u = math.Nextafter(1, 0)
 		}
@@ -217,7 +228,7 @@ func (c Config) NumChildren(n Node) int {
 		if n.Depth == 0 {
 			return c.B0
 		}
-		if c.value(n) < c.Q {
+		if c.value(&n) < c.Q {
 			return c.M
 		}
 		return 0
@@ -240,22 +251,14 @@ func (c Config) ExpectedSize() float64 {
 
 // SeqCount explores the whole tree sequentially and returns the node
 // count and maximum depth — the ground truth the parallel versions must
-// reproduce exactly.
+// reproduce exactly. It runs the parallel ports' own kernel,
+// nodeStack.expand, in one unbounded slice.
 func (c Config) SeqCount() (nodes int64, maxDepth int32) {
-	stack := []Node{c.Root()}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		nodes++
-		if n.Depth > maxDepth {
-			maxDepth = n.Depth
-		}
-		k := c.NumChildren(n)
-		for i := 0; i < k; i++ {
-			stack = append(stack, c.Child(n, i))
-		}
-	}
-	return nodes, maxDepth
+	var s nodeStack
+	var ctr Counters
+	s.push(c.Root())
+	s.expand(&c, math.MaxInt, &ctr)
+	return ctr.Nodes, ctr.MaxDepth
 }
 
 // splitmix64 is the standard splitmix64 finalizer.

@@ -1,6 +1,8 @@
 package uts
 
 import (
+	"encoding/hex"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -19,6 +21,106 @@ func TestTreeDeterminism(t *testing.T) {
 	if n1 < 100 {
 		t.Fatalf("T1Small suspiciously small: %d", n1)
 	}
+}
+
+// TestGoldenTrees pins the trees themselves, not the kernel against
+// itself: the node counts and maximum depths below were measured with
+// the value-receiver kernel this package had before childInto (one
+// sha1.New per SHA-1 child, one 24-byte Node returned per child), as
+// were the descriptors of a root and a child for each hash kind.
+func TestGoldenTrees(t *testing.T) {
+	for _, g := range []struct {
+		cfg   Config
+		nodes int64
+		depth int32
+	}{
+		{T1Small, 1196, 7},
+		{T3Small, 140237, 341},
+		{T1Med, 541788, 9},
+		{T3Med, 49817, 101},
+	} {
+		if n, d := g.cfg.SeqCount(); n != g.nodes || d != g.depth {
+			t.Errorf("%s: %d nodes, depth %d; want %d, %d", g.cfg.Name, n, d, g.nodes, g.depth)
+		}
+	}
+	for _, g := range []struct {
+		cfg          Config
+		root, child3 string
+	}{
+		{T1Small, "dfb349e23b1ab347da9529fd4ed2e0b9053eb160", "e61b2a04690d9ae26142260939f059bf7142788b"},
+		{T1Med, "70cf0188ab497bbb000000000000000000000000", "d5f7c7f765ff78a1000000000000000000000000"},
+	} {
+		root := g.cfg.Root()
+		child := g.cfg.Child(root, 3)
+		if got := hex.EncodeToString(root.State[:]); got != g.root || root.Depth != 0 {
+			t.Errorf("%s root %s depth %d, want %s depth 0", g.cfg.Name, got, root.Depth, g.root)
+		}
+		if got := hex.EncodeToString(child.State[:]); got != g.child3 || child.Depth != 1 {
+			t.Errorf("%s child 3 %s depth %d, want %s depth 1", g.cfg.Name, got, child.Depth, g.child3)
+		}
+	}
+}
+
+// TestChildIntoMatchesChild checks the in-place writer against the
+// value-returning Child byte for byte, for both hash kinds, down the
+// first-child spine at depths 0, 1, 5 and 6. The destination starts as
+// garbage, so every byte of it must be written.
+func TestChildIntoMatchesChild(t *testing.T) {
+	for _, c := range []Config{T1Small, T1Med} {
+		n := c.Root()
+		for depth := int32(0); depth <= 6; depth++ {
+			if depth == 0 || depth == 1 || depth >= 5 {
+				for i := 0; i < 4; i++ {
+					want := c.Child(n, i)
+					got := Node{Depth: -1}
+					for b := range got.State {
+						got.State[b] = 0xFF
+					}
+					c.childInto(&got, &n, i)
+					if got != want {
+						t.Errorf("%s depth %d child %d: childInto %x/%d, Child %x/%d",
+							c.Name, depth, i, got.State, got.Depth, want.State, want.Depth)
+					}
+				}
+			}
+			n = c.Child(n, 0)
+		}
+	}
+}
+
+// TestExpandAllocFree pins the node kernel: counting a T3Small tree
+// (SHA-1, 140 k nodes) on a stack that has already grown to the tree's
+// peak allocates nothing.
+func TestExpandAllocFree(t *testing.T) {
+	cfg := T3Small
+	var s nodeStack
+	var ctr Counters
+	count := func() {
+		ctr = Counters{}
+		s.push(cfg.Root())
+		s.expand(&cfg, math.MaxInt, &ctr)
+	}
+	count() // grows the stack
+	if a := testing.AllocsPerRun(3, count); a != 0 {
+		t.Errorf("%.1f allocations to count %s on a warmed stack, want 0", a, cfg.Name)
+	}
+	if ctr.Nodes != 140237 {
+		t.Errorf("counted %d nodes, want 140237", ctr.Nodes)
+	}
+}
+
+// BenchmarkUTSExpand times the node kernel alone: each iteration counts
+// the whole T3Med tree (splitmix, 50 k nodes) through expand, and the
+// result is reported per node.
+func BenchmarkUTSExpand(b *testing.B) {
+	cfg := T3Med
+	var s nodeStack
+	var ctr Counters
+	for i := 0; i < b.N; i++ {
+		s.push(cfg.Root())
+		s.expand(&cfg, math.MaxInt, &ctr)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ctr.Nodes), "ns/node")
 }
 
 func TestGeometricVsBinomialShapes(t *testing.T) {
