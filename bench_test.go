@@ -20,10 +20,12 @@ import (
 	"time"
 
 	"hcmpi"
+	"hcmpi/internal/dddf"
 	"hcmpi/internal/hc"
 	hcmpinode "hcmpi/internal/hcmpi"
 	"hcmpi/internal/mpi"
 	"hcmpi/internal/sim/model"
+	"hcmpi/internal/sw"
 	"hcmpi/internal/uts"
 )
 
@@ -470,6 +472,30 @@ func BenchmarkRealUTSHCMPI(b *testing.B) {
 		})
 		if total != want {
 			b.Fatalf("nodes %d want %d", total, want)
+		}
+	}
+}
+
+// BenchmarkRealSWDDDF runs the real runtime's Smith-Waterman DDDF
+// version end to end: 2 ranks × 1 worker on a 2400 × 2400 alignment
+// tiled like hcbench's sw_dddf workload (200 × 250 outer tiles, 50 × 50
+// inner tiles), checked against the sequential score.
+func BenchmarkRealSWDDDF(b *testing.B) {
+	cfg := sw.Config{LenA: 2400, LenB: 2400, Seed: 7, OuterH: 200, OuterW: 250, InnerH: 50, InnerW: 50}
+	want := sw.SeqMax(cfg)
+	home := sw.HomeFunc(cfg, sw.DiagonalBlocks, 2)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scores := make([]int32, 2)
+		w := mpi.NewWorld(2)
+		w.Run(func(c *mpi.Comm) {
+			n := hcmpinode.NewNode(c, hcmpinode.Config{Workers: 1})
+			space := dddf.NewSpace(n, home, nil)
+			n.Main(func(ctx *hc.Ctx) { scores[c.Rank()] = sw.RunDDDF(space, ctx, cfg, sw.DiagonalBlocks) })
+			n.Close()
+		})
+		if scores[0] != want || scores[1] != want {
+			b.Fatalf("scores %v want %d", scores, want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package sw
 
 import (
+	"encoding/binary"
 	"sync"
 
 	"hcmpi/internal/dddf"
@@ -42,6 +43,7 @@ func HomeFunc(cfg Config, dist Distribution, ranks int) dddf.HomeFunc {
 // root task (hcmpi.Node.Main / hcmpi.RunDDDF).
 func RunDDDF(space *dddf.Space, ctx *hc.Ctx, cfg Config, dist Distribution) int32 {
 	cfg = cfg.normalized()
+	c := &cfg
 	node := space.Node()
 	a, b := cfg.Sequences()
 	th, tw := cfg.TilesH(), cfg.TilesW()
@@ -58,44 +60,54 @@ func RunDDDF(space *dddf.Space, ctx *hc.Ctx, cfg Config, dist Distribution) int3
 					continue
 				}
 				ti, tj := ti, tj
-				var deps []*dddf.Handle
+				var deps [3]*dddf.Handle
+				n := 0
 				var hTop, hLeft, hCorner *dddf.Handle
 				if ti > 0 {
 					hTop = space.Handle(Guid(cfg, ti-1, tj, edgeBottom))
-					deps = append(deps, hTop)
+					deps[n], n = hTop, n+1
 				}
 				if tj > 0 {
 					hLeft = space.Handle(Guid(cfg, ti, tj-1, edgeRight))
-					deps = append(deps, hLeft)
+					deps[n], n = hLeft, n+1
 				}
 				if ti > 0 && tj > 0 {
 					hCorner = space.Handle(Guid(cfg, ti-1, tj-1, edgeCorner))
-					deps = append(deps, hCorner)
+					deps[n], n = hCorner, n+1
 				}
 				space.AsyncAwait(ctx, func(ctx *hc.Ctx) {
 					i0, i1, j0, j1 := cfg.TileSpan(ti, tj)
-					top := make([]int32, j1-j0)
-					left := make([]int32, i1-i0)
+					h, w := i1-i0, j1-j0
+					// The incoming edges are decoded straight into the
+					// buffers the sweep overwrites with the outgoing ones.
+					edges := make([]int32, w+h)
+					row, col := edges[:w], edges[w:]
 					var corner int32
 					if hTop != nil {
-						copy(top, DecodeEdge(hTop.MustGet()))
+						getEdge(row, hTop.MustGet())
 					}
 					if hLeft != nil {
-						copy(left, DecodeEdge(hLeft.MustGet()))
+						getEdge(col, hLeft.MustGet())
 					}
 					if hCorner != nil {
-						corner = DecodeEdge(hCorner.MustGet())[0]
+						corner = int32(binary.LittleEndian.Uint32(hCorner.MustGet()))
 					}
-					res := ComputeTileParallel(ctx, cfg, a[i0:i1], b[j0:j1], top, left, corner)
-					space.Handle(Guid(cfg, ti, tj, edgeRight)).Put(ctx, EncodeEdge(res.Right))
-					space.Handle(Guid(cfg, ti, tj, edgeBottom)).Put(ctx, EncodeEdge(res.Bottom))
-					space.Handle(Guid(cfg, ti, tj, edgeCorner)).Put(ctx, EncodeEdge([]int32{res.Corner}))
+					best := c.sweepTiled(ctx, a[i0:i1], b[j0:j1], row, col, corner)
+					// One buffer carries the three outgoing values: the
+					// right column, the bottom row and the corner.
+					out := make([]byte, 4*(h+w+1))
+					putEdge(out, col)
+					putEdge(out[4*h:], row)
+					binary.LittleEndian.PutUint32(out[4*(h+w):], uint32(cornerOf(row, col, corner)))
+					space.Handle(Guid(cfg, ti, tj, edgeRight)).Put(ctx, out[:4*h:4*h])
+					space.Handle(Guid(cfg, ti, tj, edgeBottom)).Put(ctx, out[4*h:4*(h+w):4*(h+w)])
+					space.Handle(Guid(cfg, ti, tj, edgeCorner)).Put(ctx, out[4*(h+w):])
 					maxMu.Lock()
-					if res.Max > localMax {
-						localMax = res.Max
+					if best > localMax {
+						localMax = best
 					}
 					maxMu.Unlock()
-				}, deps...)
+				}, deps[:n]...)
 			}
 		}
 	})
@@ -107,103 +119,87 @@ func RunDDDF(space *dddf.Space, ctx *hc.Ctx, cfg Config, dist Distribution) int3
 	return localMax
 }
 
-// ComputeTileParallel evaluates one outer tile as an intra-node wavefront
-// of inner tiles synchronized by shared-memory DDFs (the hierarchical
-// tiling of Fig. 23: outer tiles tune communication granularity, inner
-// tiles tune task granularity).
-func ComputeTileParallel(ctx *hc.Ctx, cfg Config, a, b []byte, top, left []int32, corner int32) TileResult {
-	cfg = cfg.normalized()
+// sweepTiled evaluates one outer tile as an intra-node wavefront of
+// inner tiles synchronized by shared-memory DDFs (the hierarchical tiling
+// of Fig. 23: outer tiles tune communication granularity, inner tiles
+// tune task granularity). It is sweep split into inner-tile tasks; row
+// and col are the outer tile's edges, swept in place as in sweep.
+//
+// Inner tile (p,q) sweeps its own slices of row and col, which hold the
+// edges of its top and left neighbours when it starts: column q's tiles
+// write row[j0:j1] one after another down the column, and row p's tiles
+// write col[i0:i1] one after another along the row, each awaiting the
+// tile that wrote before it. The one value an inner tile needs that
+// those slices no longer hold is its corner, which its left neighbour
+// has overwritten; every tile therefore also records its bottom-right
+// cell in a corner grid. Awaiting the top and left neighbours is enough:
+// the diagonal one finished before either.
+func (c *Config) sweepTiled(ctx *hc.Ctx, a, b []byte, row, col []int32, corner int32) int32 {
 	h, w := len(a), len(b)
-	ih, iw := cfg.InnerH, cfg.InnerW
+	ih, iw := c.InnerH, c.InnerW
 	gh := (h + ih - 1) / ih
 	gw := (w + iw - 1) / iw
-	if gh*gw == 1 {
-		return ComputeTile(cfg, a, b, top, left, corner)
+	if gh*gw <= 1 {
+		return c.sweep(a, b, row, col, corner)
 	}
-
-	results := make([][]TileResult, gh)
-	ready := make([][]*hc.DDF, gh)
-	for p := range results {
-		results[p] = make([]TileResult, gw)
-		ready[p] = make([]*hc.DDF, gw)
-		for q := range ready[p] {
-			ready[p][q] = hc.NewDDF()
-		}
+	g := &wavefront{cfg: c, a: a, b: b, row: row, col: col, gw: gw,
+		ready: make([]hc.DDF, gh*gw)}
+	buf := make([]int32, (gh+1)*(gw+1)+gh*gw)
+	g.corners, g.maxes = buf[:(gh+1)*(gw+1)], buf[(gh+1)*(gw+1):]
+	// The grid's top and left borders come from the incoming edges,
+	// read before any inner tile overwrites them.
+	g.corners[0] = corner
+	for q := 1; q < gw; q++ {
+		g.corners[q] = row[q*iw-1]
 	}
-
+	for p := 1; p < gh; p++ {
+		g.corners[p*(gw+1)] = col[p*ih-1]
+	}
 	ctx.Finish(func(ctx *hc.Ctx) {
 		for p := 0; p < gh; p++ {
 			for q := 0; q < gw; q++ {
-				p, q := p, q
-				var deps []*hc.DDF
+				var deps [2]*hc.DDF
+				n := 0
 				if p > 0 {
-					deps = append(deps, ready[p-1][q])
+					deps[n], n = &g.ready[(p-1)*gw+q], n+1
 				}
 				if q > 0 {
-					deps = append(deps, ready[p][q-1])
+					deps[n], n = &g.ready[p*gw+q-1], n+1
 				}
-				if p > 0 && q > 0 {
-					deps = append(deps, ready[p-1][q-1])
-				}
-				ctx.AsyncAwait(func(ctx *hc.Ctx) {
-					i0 := p * ih
-					i1 := min(i0+ih, h)
-					j0 := q * iw
-					j1 := min(j0+iw, w)
-					iTop := make([]int32, j1-j0)
-					iLeft := make([]int32, i1-i0)
-					var iCorner int32
-					if p > 0 {
-						copy(iTop, results[p-1][q].Bottom[:])
-					} else {
-						copy(iTop, top[j0:j1])
-					}
-					if q > 0 {
-						copy(iLeft, results[p][q-1].Right[:])
-					} else {
-						copy(iLeft, left[i0:i1])
-					}
-					switch {
-					case p > 0 && q > 0:
-						iCorner = results[p-1][q-1].Corner
-					case p > 0: // first column: corner is left edge of row above
-						iCorner = left[i0-1]
-					case q > 0: // first row: corner is top edge of col before
-						iCorner = top[j0-1]
-					default:
-						iCorner = corner
-					}
-					results[p][q] = ComputeTile(cfg, a[i0:i1], b[j0:j1], iTop, iLeft, iCorner)
-					ready[p][q].Put(ctx, struct{}{})
-				}, deps...)
+				p, q := p, q
+				ctx.AsyncAwait(func(ctx *hc.Ctx) { g.tile(ctx, p, q) }, deps[:n]...)
 			}
 		}
 	})
-
-	// Assemble the outer tile's outgoing state from the inner grid.
-	out := TileResult{Right: make([]int32, h), Bottom: make([]int32, w)}
-	for p := 0; p < gh; p++ {
-		r := results[p][gw-1]
-		copy(out.Right[p*ih:], r.Right)
+	var best int32
+	for _, m := range g.maxes {
+		best = max(best, m)
 	}
-	for q := 0; q < gw; q++ {
-		r := results[gh-1][q]
-		copy(out.Bottom[q*iw:], r.Bottom)
-	}
-	out.Corner = results[gh-1][gw-1].Corner
-	for p := 0; p < gh; p++ {
-		for q := 0; q < gw; q++ {
-			if results[p][q].Max > out.Max {
-				out.Max = results[p][q].Max
-			}
-		}
-	}
-	return out
+	return best
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+// wavefront is one outer tile being swept as a grid of inner tiles.
+type wavefront struct {
+	cfg      *Config
+	a, b     []byte
+	row, col []int32
+	gw       int
+	// corners is (gh+1)×(gw+1): corners[p*(gw+1)+q] is the cell
+	// diagonally above-left of inner tile (p,q), which tile (p-1,q-1)
+	// writes as its bottom-right cell.
+	corners []int32
+	maxes   []int32  // per inner tile, its largest cell
+	ready   []hc.DDF // per inner tile, put once it is swept
+}
+
+// tile sweeps inner tile (p,q) and releases its right and lower
+// neighbours.
+func (g *wavefront) tile(ctx *hc.Ctx, p, q int) {
+	c := g.cfg
+	i0, j0 := p*c.InnerH, q*c.InnerW
+	i1, j1 := min(i0+c.InnerH, len(g.a)), min(j0+c.InnerW, len(g.b))
+	k := p*g.gw + q
+	g.maxes[k] = c.sweep(g.a[i0:i1], g.b[j0:j1], g.row[j0:j1], g.col[i0:i1], g.corners[k+p])
+	g.corners[k+p+g.gw+2] = g.row[j1-1]
+	g.ready[k].Put(ctx, struct{}{})
 }

@@ -39,24 +39,29 @@ func RunHybrid(c *mpi.Comm, cfg Config, threads int, dist Distribution) int32 {
 	local := make(map[int]TileResult)
 	owner := func(ti, tj int) int { return dist(ti, tj, th, tw, ranks) }
 
-	// fetchEdge returns a consumer tile's input edge: from the local
-	// store when this rank computed the producer, otherwise a blocking
-	// receive tagged with the consumer tile and edge kind.
-	fetchEdge := func(cti, ctj, pti, ptj, edge, n int) []int32 {
+	// fetchEdge fills dst with a consumer tile's input edge: from the
+	// local store when this rank computed the producer, otherwise from a
+	// blocking receive tagged with the consumer tile and edge kind.
+	var recvBuf []byte
+	fetchEdge := func(dst []int32, cti, ctj, pti, ptj, edge int) {
 		if owner(pti, ptj) == me {
 			res := local[pti*tw+ptj]
 			switch edge {
 			case edgeBottom:
-				return res.Bottom
+				copy(dst, res.Bottom)
 			case edgeRight:
-				return res.Right
+				copy(dst, res.Right)
 			default:
-				return []int32{res.Corner}
+				dst[0] = res.Corner
 			}
+			return
 		}
-		buf := make([]byte, 4*n)
+		if n := 4 * len(dst); cap(recvBuf) < n {
+			recvBuf = make([]byte, n)
+		}
+		buf := recvBuf[:4*len(dst)]
 		c.Recv(buf, owner(pti, ptj), hybridTag(cfg, cti, ctj, edge))
-		return DecodeEdge(buf)
+		getEdge(dst, buf)
 	}
 
 	var localMax int32
@@ -74,38 +79,38 @@ func RunHybrid(c *mpi.Comm, cfg Config, threads int, dist Distribution) int32 {
 			continue
 		}
 
-		// Phase 1 (sequential, main thread): gather remote inputs.
-		type input struct {
-			top, left []int32
-			corner    int32
-		}
-		inputs := make([]input, len(mine))
+		// Phase 1 (sequential, main thread): gather remote inputs,
+		// straight into the edges each tile sweeps in place.
+		results := make([]TileResult, len(mine))
 		for k, t := range mine {
 			ti, tj := t[0], t[1]
 			i0, i1, j0, j1 := cfg.TileSpan(ti, tj)
-			in := input{top: make([]int32, j1-j0), left: make([]int32, i1-i0)}
+			edges := make([]int32, (j1-j0)+(i1-i0)+1) // bottom row, right column, corner
+			res := TileResult{Bottom: edges[:j1-j0], Right: edges[j1-j0 : len(edges)-1]}
+			corner := edges[len(edges)-1:]
 			if ti > 0 {
-				in.top = fetchEdge(ti, tj, ti-1, tj, edgeBottom, j1-j0)
+				fetchEdge(res.Bottom, ti, tj, ti-1, tj, edgeBottom)
 			}
 			if tj > 0 {
-				in.left = fetchEdge(ti, tj, ti, tj-1, edgeRight, i1-i0)
+				fetchEdge(res.Right, ti, tj, ti, tj-1, edgeRight)
 			}
 			if ti > 0 && tj > 0 {
-				in.corner = fetchEdge(ti, tj, ti-1, tj-1, edgeCorner, 1)[0]
+				fetchEdge(corner, ti, tj, ti-1, tj-1, edgeCorner)
 			}
-			inputs[k] = in
+			res.Corner = corner[0]
+			results[k] = res
 		}
 
-		// Phase 2: the parallel region — compute all diagonal tiles, with
+		// Phase 2: the parallel region — sweep all diagonal tiles, with
 		// the implicit barrier of the region's join.
-		results := make([]TileResult, len(mine))
 		var mu sync.Mutex
 		team.Parallel(func(tc *omp.TC) {
 			tc.DynamicFor(len(mine), 1, func(k int) {
 				ti, tj := mine[k][0], mine[k][1]
 				i0, i1, j0, j1 := cfg.TileSpan(ti, tj)
-				res := ComputeTile(cfg, a[i0:i1], b[j0:j1], inputs[k].top, inputs[k].left, inputs[k].corner)
-				results[k] = res
+				res := &results[k]
+				res.Max = cfg.sweep(a[i0:i1], b[j0:j1], res.Bottom, res.Right, res.Corner)
+				res.Corner = cornerOf(res.Bottom, res.Right, res.Corner)
 				mu.Lock()
 				if res.Max > localMax {
 					localMax = res.Max
@@ -134,11 +139,4 @@ func RunHybrid(c *mpi.Comm, cfg Config, threads int, dist Distribution) int32 {
 
 	global := c.Allreduce(mpi.EncodeInt64(int64(localMax)), mpi.Int64, mpi.OpMax)
 	return int32(mpi.DecodeInt64(global))
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -90,74 +90,116 @@ type TileResult struct {
 // a×b given the incoming edges: top (len(b) values), left (len(a)
 // values), and the diagonal corner. Boundary tiles pass zero-filled
 // edges. Only the outgoing edges and the tile's max are retained, so a
-// tile costs O(len(b)) space.
+// tile costs O(len(a)+len(b)) space. The edges are copied into the
+// result, which sweep then overwrites in place.
 func ComputeTile(cfg Config, a, b []byte, top, left []int32, corner int32) TileResult {
 	cfg = cfg.normalized()
-	h, w := len(a), len(b)
-	res := TileResult{Right: make([]int32, h), Bottom: make([]int32, w)}
-	prev := make([]int32, w+1) // row i-1: [corner-ish, top...]
-	curr := make([]int32, w+1)
-	prev[0] = corner
-	copy(prev[1:], top)
-	for i := 0; i < h; i++ {
-		curr[0] = left[i]
-		for j := 0; j < w; j++ {
-			s := cfg.Mismatch
-			if a[i] == b[j] {
-				s = cfg.Match
-			}
-			v := prev[j] + s // diagonal
-			if up := prev[j+1] - cfg.Gap; up > v {
-				v = up
-			}
-			if lf := curr[j] - cfg.Gap; lf > v {
-				v = lf
-			}
-			if v < 0 {
-				v = 0
-			}
-			curr[j+1] = v
-			if v > res.Max {
-				res.Max = v
-			}
-		}
-		res.Right[i] = curr[w]
-		// After the swap, prev[0] = left[i] = H(i, j0-1), which is
-		// exactly the diagonal seed row i+1 needs.
-		prev, curr = curr, prev
-	}
-	copy(res.Bottom, prev[1:])
-	res.Corner = prev[w]
+	res := TileResult{Right: make([]int32, len(a)), Bottom: make([]int32, len(b))}
+	copy(res.Bottom, top)
+	copy(res.Right, left)
+	res.Max = cfg.sweep(a, b, res.Bottom, res.Right, corner)
+	res.Corner = cornerOf(res.Bottom, res.Right, corner)
 	return res
 }
 
+// sweep is the one Smith-Waterman kernel: every path (SeqMax,
+// ComputeTile, the inner tiles of the DDDF version, the hybrid baseline)
+// evaluates its cells here. It works in place on the tile's edges: on
+// entry row[:len(b)] holds the row above the tile, col[:len(a)] the
+// column left of it and corner the cell diagonally above-left; on return
+// row holds the tile's bottom row and col its right column. It returns
+// the tile's largest cell. c must be normalized.
+//
+//hclint:hotpath
+func (c *Config) sweep(a, b []byte, row, col []int32, corner int32) int32 {
+	row = row[:len(b)]
+	col = col[:len(a)]
+	var best int32
+	diag := corner
+	for i, ai := range a {
+		left := col[i]
+		col[i], best = sweepRow(ai, b, row, left, diag, best, c.Match, c.Mismatch, c.Gap)
+		diag = left // H(i, -1) is row i+1's diagonal seed
+	}
+	return best
+}
+
+// sweepRow sweeps one row of a tile: ai against b, over row (which holds
+// the row above on entry and this row on return), from the left edge
+// value left and the diagonal seed diag. It returns the row's last cell
+// and best raised to the row's largest cell.
+//
+// A cell loads one value (the cell above, row[j]) and stores one (itself,
+// over it). Its left and diagonal neighbours are the previous cell and
+// the previous cell's "above", carried in registers rather than reloaded
+// from the stores just made, and the left neighbour enters the maximum
+// last, so a subtraction and a select are all that chain one cell to the
+// next. The function is kept out of line so that the row loop's values
+// do not compete with the cell loop's for registers: inlined into sweep
+// it spilled and ran ≈ 15 % slower.
+//
+//hclint:hotpath
+//go:noinline
+func sweepRow(ai byte, b []byte, row []int32, left, diag, best, match, mismatch, gap int32) (int32, int32) {
+	row = row[:len(b)]
+	for j, bj := range b {
+		up := row[j]
+		s := mismatch
+		if ai == bj {
+			s = match
+		}
+		v := max(diag+s, up-gap, 0)
+		v = max(v, left-gap)
+		row[j] = v
+		best = max(best, v)
+		diag, left = up, v
+	}
+	return left, best
+}
+
+// cornerOf is a swept tile's bottom-right cell: the last of its bottom
+// row, or of its right column when it has no columns, or the incoming
+// corner when it has neither.
+func cornerOf(row, col []int32, corner int32) int32 {
+	switch {
+	case len(row) > 0:
+		return row[len(row)-1]
+	case len(col) > 0:
+		return col[len(col)-1]
+	}
+	return corner
+}
+
 // SeqMax computes the full alignment sequentially (the ground truth for
-// the distributed implementations).
+// the distributed implementations): one sweep over the whole matrix.
 func SeqMax(cfg Config) int32 {
 	cfg = cfg.normalized()
 	a, b := cfg.Sequences()
-	top := make([]int32, len(b))
-	left := make([]int32, len(a))
-	r := ComputeTile(cfg, a, b, top, left, 0)
-	return r.Max
+	return cfg.sweep(a, b, make([]int32, len(b)), make([]int32, len(a)), 0)
 }
 
-// EncodeEdge packs an int32 edge vector for the wire.
+// putEdge writes edge v into dst (4 bytes per value, little endian), the
+// wire form of a DDDF or message edge.
+func putEdge(dst []byte, v []int32) {
+	dst = dst[:4*len(v)]
+	for i, x := range v {
+		binary.LittleEndian.PutUint32(dst[4*i:], uint32(x))
+	}
+}
+
+// EncodeEdge packs an int32 edge vector into a new wire buffer.
 func EncodeEdge(v []int32) []byte {
 	b := make([]byte, 4*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(b[4*i:], uint32(x))
-	}
+	putEdge(b, v)
 	return b
 }
 
-// DecodeEdge unpacks an int32 edge vector.
-func DecodeEdge(b []byte) []int32 {
-	v := make([]int32, len(b)/4)
-	for i := range v {
-		v[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
+// getEdge decodes the wire edge b into dst.
+func getEdge(dst []int32, b []byte) {
+	b = b[:4*len(dst)]
+	for i := range dst {
+		dst[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
 	}
-	return v
 }
 
 // TileSpan returns element ranges covered by outer tile (ti,tj).

@@ -1,6 +1,7 @@
 package sw
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -39,11 +40,22 @@ func TestComputeTileMatchesReference(t *testing.T) {
 
 // refSW is a straightforward full-matrix Smith-Waterman.
 func refSW(cfg Config, a, b []byte) int32 {
+	var best int32
+	for _, r := range refMatrix(cfg, a, b) {
+		for _, v := range r {
+			best = max(best, v)
+		}
+	}
+	return best
+}
+
+// refMatrix is the whole score matrix H, one padded row and column of
+// zeros included: h[i+1][j+1] is cell (i,j).
+func refMatrix(cfg Config, a, b []byte) [][]int32 {
 	h := make([][]int32, len(a)+1)
 	for i := range h {
 		h[i] = make([]int32, len(b)+1)
 	}
-	var best int32
 	for i := 1; i <= len(a); i++ {
 		for j := 1; j <= len(b); j++ {
 			s := cfg.Mismatch
@@ -61,12 +73,137 @@ func refSW(cfg Config, a, b []byte) int32 {
 				v = 0
 			}
 			h[i][j] = v
-			if v > best {
-				best = v
+		}
+	}
+	return h
+}
+
+// TestGoldenScores pins the alignment itself, not just agreement between
+// the kernel's own paths: the scores were computed by the two-row
+// (prev/curr) kernel that preceded sweep. The last row is the sw_dddf
+// workload's size.
+func TestGoldenScores(t *testing.T) {
+	for _, g := range []struct {
+		cfg  Config
+		want int32
+	}{
+		{Config{LenA: 37, LenB: 53, Seed: 9}, 31},
+		{Config{LenA: 96, LenB: 120, Seed: 21}, 79},
+		{Config{LenA: 200, LenB: 180, Seed: 77}, 140},
+		{Config{LenA: 1000, LenB: 1200, Seed: 1}, 829},
+		{Config{LenA: 600, LenB: 600, Seed: 5, Match: 3, Mismatch: -2, Gap: 2}, 497},
+		{Config{LenA: 4800, LenB: 4800, Seed: 42}, 3599},
+	} {
+		if got := SeqMax(g.cfg); got != g.want {
+			t.Errorf("SeqMax(%+v) = %d, want %d", g.cfg, got, g.want)
+		}
+	}
+	// The DDDF path, outer and inner tiles, on one of them.
+	cfg := Config{LenA: 1000, LenB: 1200, Seed: 1, OuterH: 250, OuterW: 300, InnerH: 50, InnerW: 60}
+	for r, got := range runSW(t, 2, 2, cfg, DiagonalBlocks) {
+		if got != 829 {
+			t.Errorf("RunDDDF rank %d: %d, want 829", r, got)
+		}
+	}
+}
+
+// TestSweepEdgesMatchReference checks the sweep cell for cell where it
+// leaves anything behind: over a grid of tiles fed each other's edges
+// (so most tiles start from non-zero edges and corners), every tile's
+// bottom row, right column and corner must equal the reference matrix's,
+// for the whole-tile sweep and for the inner-tile wavefront, under both
+// scorings.
+func TestSweepEdgesMatchReference(t *testing.T) {
+	rt := hc.New(2)
+	defer rt.Shutdown()
+	for _, cfg := range []Config{
+		{LenA: 90, LenB: 110, Seed: 4, OuterH: 30, OuterW: 37, InnerH: 7, InnerW: 9},
+		{LenA: 64, LenB: 64, Seed: 8, OuterH: 64, OuterW: 16, InnerH: 64, InnerW: 5},
+		{LenA: 50, LenB: 41, Seed: 2, OuterH: 13, OuterW: 41, InnerH: 1, InnerW: 41, Match: 3, Mismatch: -2, Gap: 2},
+	} {
+		cfg = cfg.normalized()
+		a, b := cfg.Sequences()
+		h := refMatrix(cfg, a, b)
+		for _, parallel := range []bool{false, true} {
+			row := make([]int32, len(b)) // the bottom rows of the tiles swept so far
+			col := make([]int32, len(a))
+			corners := make(map[[2]int]int32)
+			var best int32
+			for ti := 0; ti < cfg.TilesH(); ti++ {
+				for tj := 0; tj < cfg.TilesW(); tj++ {
+					i0, i1, j0, j1 := cfg.TileSpan(ti, tj)
+					top := append([]int32(nil), row[j0:j1]...)
+					left := append([]int32(nil), col[i0:i1]...)
+					var corner int32
+					if ti > 0 && tj > 0 {
+						corner = corners[[2]int{ti - 1, tj - 1}]
+					}
+					var r TileResult
+					if parallel {
+						r = TileResult{Bottom: top, Right: left}
+						rt.Root(func(ctx *hc.Ctx) {
+							r.Max = cfg.sweepTiled(ctx, a[i0:i1], b[j0:j1], r.Bottom, r.Right, corner)
+						})
+						r.Corner = cornerOf(r.Bottom, r.Right, corner)
+					} else {
+						r = ComputeTile(cfg, a[i0:i1], b[j0:j1], top, left, corner)
+					}
+					for j := j0; j < j1; j++ {
+						if r.Bottom[j-j0] != h[i1][j+1] {
+							t.Fatalf("%+v parallel=%v tile (%d,%d): bottom[%d] = %d, want %d", cfg, parallel, ti, tj, j-j0, r.Bottom[j-j0], h[i1][j+1])
+						}
+					}
+					for i := i0; i < i1; i++ {
+						if r.Right[i-i0] != h[i+1][j1] {
+							t.Fatalf("%+v parallel=%v tile (%d,%d): right[%d] = %d, want %d", cfg, parallel, ti, tj, i-i0, r.Right[i-i0], h[i+1][j1])
+						}
+					}
+					if r.Corner != h[i1][j1] {
+						t.Fatalf("%+v parallel=%v tile (%d,%d): corner %d, want %d", cfg, parallel, ti, tj, r.Corner, h[i1][j1])
+					}
+					copy(row[j0:j1], r.Bottom)
+					copy(col[i0:i1], r.Right)
+					corners[[2]int{ti, tj}] = r.Corner
+					best = max(best, r.Max)
+				}
+			}
+			if want := refSW(cfg, a, b); best != want {
+				t.Fatalf("%+v parallel=%v: max %d, want %d", cfg, parallel, best, want)
 			}
 		}
 	}
-	return best
+}
+
+// TestSweepAllocFree pins the kernel at zero allocations: it sweeps the
+// caller's edges in place. ComputeTile allocates exactly its two result
+// edges.
+func TestSweepAllocFree(t *testing.T) {
+	cfg := Config{LenA: 50, LenB: 50, Seed: 3}.normalized()
+	a, b := cfg.Sequences()
+	row, col := make([]int32, len(b)), make([]int32, len(a))
+	if n := testing.AllocsPerRun(100, func() { cfg.sweep(a, b, row, col, 0) }); n != 0 {
+		t.Fatalf("sweep: %.1f allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { ComputeTile(cfg, a, b, row, col, 0) }); n != 2 {
+		t.Fatalf("ComputeTile: %.1f allocations, want 2", n)
+	}
+}
+
+// BenchmarkSWSweep times the kernel on the sw_dddf workload's inner tile
+// (50 × 50) and on a 1000 × 1000 matrix, in nanoseconds per cell.
+func BenchmarkSWSweep(b *testing.B) {
+	for _, n := range []int{50, 1000} {
+		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
+			cfg := Config{LenA: n, LenB: n, Seed: 1}.normalized()
+			x, y := cfg.Sequences()
+			row, col := make([]int32, n), make([]int32, n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cfg.sweep(x, y, row, col, 0)
+			}
+			b.ReportMetric(float64(b.Elapsed())/float64(b.N)/float64(n*n), "ns/cell")
+		})
+	}
 }
 
 // TestTilingInvariance: splitting the matrix into tiles must not change
@@ -146,8 +283,7 @@ func TestComputeTileParallelMatches(t *testing.T) {
 	rt.Root(func(ctx *hc.Ctx) {
 		c := cfg.normalized()
 		a, b := c.Sequences()
-		r := ComputeTileParallel(ctx, c, a, b, make([]int32, len(b)), make([]int32, len(a)), 0)
-		got = r.Max
+		got = c.sweepTiled(ctx, a, b, make([]int32, len(b)), make([]int32, len(a)), 0)
 	})
 	if got != want {
 		t.Fatalf("parallel tile max %d want %d", got, want)
@@ -156,7 +292,8 @@ func TestComputeTileParallelMatches(t *testing.T) {
 
 func TestEdgeCodecRoundTrip(t *testing.T) {
 	v := []int32{0, 1, -5, 1 << 30}
-	got := DecodeEdge(EncodeEdge(v))
+	got := make([]int32, len(v))
+	getEdge(got, EncodeEdge(v))
 	for i := range v {
 		if got[i] != v[i] {
 			t.Fatalf("edge codec: %v vs %v", got, v)
