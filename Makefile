@@ -24,8 +24,10 @@ test:
 # Just the fault-injection suites (they honor -short; this runs them long),
 # plus the progress-engine contention tests: computation workers and the
 # dedicated worker racing for the sweep (TestChaosProgressContention), the
-# idle-hook/idleMu ordering rule (TestIdleHook...), and blocking tasks that
-# stack up crosswise (TestBlock..., TestRecycleStress...), and the
+# idle-hook/idleMu ordering rule (TestIdleHook...), a join, a blocked task
+# and an idle worker each woken after it has parked (TestIdleWake...),
+# and blocking tasks that stack up crosswise (TestBlock...,
+# TestRecycleStress...), and the
 # aggregated-frame tests: bursts, cap splits and dropped frames through
 # hcmpi.Outbox and the DDDF protocol on top of it (TestOutbox...,
 # TestBurst..., TestChaosFrameDrop...), and the collective schedules the
@@ -33,7 +35,7 @@ test:
 # phaser and accumulator hooks that issue them (Collective, Phaser,
 # Accumulator).
 chaos:
-	$(GO) test -race -count=1 -run 'Chaos|IdleHook|TestBlock|RecycleStress|TestFault|TestOutbox|TestBurst|Collective|Phaser|Accumulator|Test.*(Drop|Partition|Crash|Stall|Cancel)' \
+	$(GO) test -race -count=1 -run 'Chaos|IdleHook|IdleWake|TestBlock|RecycleStress|TestFault|TestOutbox|TestBurst|Collective|Phaser|Accumulator|Test.*(Drop|Partition|Crash|Stall|Cancel)' \
 		./internal/netsim/ ./internal/mpi/ ./internal/hc/ ./internal/hcmpi/ ./internal/dddf/ ./internal/distsched/
 
 # Soak for the one-in-10⁴ class (ROADMAP item 2): the shape distsched's

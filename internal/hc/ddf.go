@@ -49,7 +49,7 @@ type Releaser interface {
 // task is copied into a pooled frame from the releasing worker.
 func (c *Ctx) ReleaseTask(t Task) {
 	nt := c.w.newTask(t.fn, t.finish)
-	if c.w.detached {
+	if c.w.detached() {
 		c.w.rt.submitFrame(nt)
 		return
 	}

@@ -42,9 +42,8 @@ type Task struct {
 	pooled bool
 }
 
-// NewTask builds a task bound to a finish scope; used by runtime clients
-// (the HCMPI communication worker) that release tasks onto steal-visible
-// deques themselves.
+// NewTask builds an unpooled task bound to a finish scope, for Submit
+// from a goroutine outside the pool.
 func NewTask(fn func(*Ctx), f *Finish) Task { return Task{fn: fn, finish: f} }
 
 // Runtime is one node's worker pool.
@@ -64,8 +63,8 @@ type Runtime struct {
 	// trip through idleCond.
 	wakeSeq atomic.Uint64
 
-	// helpers recycles the transient worker contexts that HelpUntil and
-	// AsyncBlocking spin up (deque + RNG + frame pool are worth keeping).
+	// helpers recycles the detached worker contexts that stand-ins and
+	// AsyncBlocking run on (deque + RNG + frame pool are worth keeping).
 	helpers *deque.Stack[worker]
 
 	// idleHook, when set, is what a pool worker does after a failed
@@ -99,10 +98,6 @@ type worker struct {
 	rt    *Runtime
 	deque *deque.Deque[Task]
 	rng   *rand.Rand
-	// detached marks contexts that do not own a pool-visible deque
-	// (dedicated goroutines for blocking tasks); their spawns are
-	// injected into the pool instead.
-	detached bool
 	// place is the HPT leaf this worker is attached to (nil without an
 	// HPT); victims orders steal targets by place distance.
 	place   *Place
@@ -115,9 +110,6 @@ type worker struct {
 	// that RUNS a task frees the frame into its own list, both on the
 	// worker's goroutine — frames migrate between pools with steals.
 	frames *deque.FreeList[Task]
-	// parkTimer bounds a helper context's park (see parkBounded);
-	// lazily created, then reused across parks.
-	parkTimer *time.Timer
 	// idleCtx is the context the idle hook runs under: this worker, no
 	// finish scope.
 	idleCtx Ctx
@@ -131,6 +123,11 @@ type worker struct {
 	beats atomic.Uint32
 	below atomic.Pointer[worker]
 }
+
+// detached reports whether w is a helper context (a stand-in's or an
+// AsyncBlocking task's) rather than a pool worker: it owns no deque
+// thieves can see, so its spawns are injected into the pool instead.
+func (w *worker) detached() bool { return w.id >= len(w.rt.workers) }
 
 // Ctx is the execution context handed to every task: which worker is
 // running it and which finish scope encloses it.
@@ -225,15 +222,10 @@ func (rt *Runtime) start() {
 // NumWorkers returns the pool size.
 func (rt *Runtime) NumWorkers() int { return len(rt.workers) }
 
-// Steals returns the number of successful intra-node steals so far.
-func (rt *Runtime) Steals() int64 { return rt.steals.Load() }
-
-// TasksRun returns the number of tasks executed so far.
-func (rt *Runtime) TasksRun() int64 { return rt.tasksRun.Load() }
-
-// Metrics exposes the runtime's counter registry (hc_steals,
-// hc_steal_attempts, hc_steal_fails, hc_tasks_run, hc_tasks_spawned —
-// plus whatever clients like the HCMPI communication worker register).
+// Metrics exposes the runtime's counter registry: hc_steals,
+// hc_steal_attempts, hc_steal_fails, hc_steal_batch, hc_tasks_run,
+// hc_tasks_spawned, hc_parks, hc_suspensions and hc_unburied, plus
+// whatever clients like the HCMPI communication worker register.
 func (rt *Runtime) Metrics() *trace.Metrics { return rt.metrics }
 
 // Tracer returns the tracer attached at construction (nil when
@@ -305,8 +297,8 @@ type IdleFunc func(ctx *Ctx) bool
 // hook. HCMPI sets it so that idle computation workers drive the
 // communication engine; plain hc users leave it unset.
 //
-// Workers call the hook after a failed steal sweep in their loop, in a
-// finish join and in the pre-park spin — and never while holding idleMu:
+// Workers call the hook in every idle round (idle), after the failed scan
+// and between spin sweeps — and never while holding idleMu:
 // the hook may release tasks, and releasing one calls Wake, which takes
 // idleMu when a worker is parked.
 func (rt *Runtime) SetIdleProgress(f IdleFunc) {
@@ -335,11 +327,6 @@ const (
 	// spinSweeps is how many extra work-finding sweeps — with a Gosched
 	// between them — an idle worker makes before parking on idleCond.
 	spinSweeps = 4
-	// helperParkMin/Max bound a helper context's timed park: helpers
-	// wait on predicates whose triggers are not guaranteed to Wake the
-	// pool, so their parks are bounded and back off exponentially.
-	helperParkMin = 10 * time.Microsecond
-	helperParkMax = time.Millisecond
 	// buriedGrace is how long a released task stays behind a stand-in
 	// whose current task completes no wait of its own, before it resumes
 	// regardless (suspend). It only has to exceed an ordinary wait by a
@@ -487,86 +474,69 @@ func (w *worker) run(t *Task) {
 	}
 }
 
-// spin is the middle rung of the idle protocol: a few extra sweeps with
-// a Gosched between them before committing to a park. Returns true when
-// the caller should re-scan immediately — either a task was found (and
-// run), or the wake ticket moved, meaning work was just published.
-func (w *worker) spin() bool {
-	t, rescan := w.spinFind(nil)
-	if t != nil {
-		w.run(t)
-		return true
-	}
-	return rescan
-}
-
-// spinFind is spin without running the task it finds. A non-nil over
-// ends it early: what a blocked task waits for is not a task on a deque,
-// so no sweep would find it.
-func (w *worker) spinFind(over func() bool) (t *Task, rescan bool) {
-	rt := w.rt
-	seq := rt.wakeSeq.Load()
-	for i := 0; i < spinSweeps; i++ {
-		runtime.Gosched()
-		if over != nil && over() {
-			return nil, true
-		}
-		if t, ok := w.next(); ok {
-			return t, true
-		}
-		if rt.done.Load() {
-			return nil, false // fall through to the caller's park path, which re-checks done
-		}
-		if w.idleProgress() {
-			return nil, true
-		}
-	}
-	return nil, rt.wakeSeq.Load() != seq
-}
-
 func (w *worker) loop() {
 	defer w.rt.wg.Done()
 	rt := w.rt
 	for {
 		seq := rt.wakeSeq.Load()
-		if t, ok := w.next(); ok {
+		t, ok := w.next()
+		if !ok {
+			if rt.done.Load() {
+				return
+			}
+			t = w.idle(seq, nil, false)
+		}
+		if t != nil {
 			w.run(t)
-			continue
 		}
-		if rt.done.Load() {
-			return
-		}
-		if w.idleProgress() || w.spin() {
-			continue
-		}
-		// Park: announce sleeping, then close the missed-wakeup window —
-		// a wake ticket drawn since the scan began means something was
-		// published that the scan (or the idle hook, whose sources are
-		// not deques) may not have seen; re-scan the deques once, then
-		// wait.
-		rt.idleMu.Lock()
-		rt.sleepers.Add(1)
-		if rt.wakeSeq.Load() != seq {
-			rt.sleepers.Add(-1)
-			rt.idleMu.Unlock()
-			continue
+	}
+}
+
+// idle is one round of the idle protocol, for a worker whose scan from
+// wake ticket seq found nothing: the idle hook, spinSweeps more scans
+// with a Gosched and the hook between them, then a park until the next
+// Wake. It returns the task a spin scan found, or nil when the caller
+// should re-check its condition and scan again.
+//
+// over, when non-nil, is the caller's condition: the park is skipped once
+// it holds, and with watch the spin ends on it too. Only a blocked task
+// watches: what it waits for is not a task on a deque, so no scan would
+// find it. A join's spin stays blind to its count, so that a sibling's
+// next child is run by the joiner rather than stolen away with its frame.
+//
+// Whatever makes over true, and every publisher of work, must call Wake
+// (or be Shutdown): the park is skipped only on a new wake ticket. over
+// is checked before idleMu is taken, never under it; the ticket covers
+// the gap.
+func (w *worker) idle(seq uint64, over func() bool, watch bool) *Task {
+	rt := w.rt
+	if w.idleProgress() {
+		return nil
+	}
+	for i := 0; i < spinSweeps && !rt.done.Load(); i++ {
+		runtime.Gosched()
+		if watch && over() {
+			return nil
 		}
 		if t, ok := w.next(); ok {
-			rt.sleepers.Add(-1)
-			rt.idleMu.Unlock()
-			w.run(t)
-			continue
+			return t
 		}
-		if rt.done.Load() {
-			rt.sleepers.Add(-1)
-			rt.idleMu.Unlock()
-			return
+		if w.idleProgress() {
+			return nil
 		}
+	}
+	if rt.wakeSeq.Load() != seq || over != nil && over() {
+		return nil
+	}
+	rt.idleMu.Lock()
+	rt.sleepers.Add(1)
+	if rt.wakeSeq.Load() == seq && !rt.done.Load() {
 		rt.parks.Inc()
 		rt.idleCond.Wait()
-		rt.sleepers.Add(-1)
-		rt.idleMu.Unlock()
 	}
+	rt.sleepers.Add(-1)
+	rt.idleMu.Unlock()
+	return nil
 }
 
 // Async spawns fn as a child task in the current finish scope. The child
@@ -584,7 +554,7 @@ func (c *Ctx) Async(fn func(*Ctx)) {
 	w.rt.tasksSpawned.Add(1)
 	w.ring.Emit(trace.EvTaskSpawn, 0, 0)
 	t := w.newTask(fn, f)
-	if w.detached {
+	if w.detached() {
 		// Detached contexts own no steal-visible deque; inject instead.
 		w.rt.submitFrame(t)
 		return
@@ -607,7 +577,7 @@ func (c *Ctx) AsyncBlocking(fn func(*Ctx)) {
 	rt.tasksSpawned.Add(1)
 	c.w.ring.Emit(trace.EvTaskSpawn, 0, 0)
 	go func() {
-		dw := rt.getHelper(true)
+		dw := rt.getHelper()
 		ctx := Ctx{w: dw, finish: f}
 		fn(&ctx)
 		if f != nil {
@@ -629,7 +599,7 @@ func (c *Ctx) AsyncAt(wid int, fn func(*Ctx)) {
 	c.w.rt.tasksSpawned.Add(1)
 	c.w.ring.Emit(trace.EvTaskSpawn, 0, 0)
 	t := c.w.newTask(fn, f)
-	if !c.w.detached && (wid == c.w.id || wid < 0 || wid >= len(c.w.rt.workers)) {
+	if !c.w.detached() && (wid == c.w.id || wid < 0 || wid >= len(c.w.rt.workers)) {
 		c.w.deque.Push(t)
 		c.w.rt.Wake()
 		return
@@ -680,71 +650,36 @@ func (c *Ctx) Finish(body func(*Ctx)) {
 	c.w.join(f)
 }
 
-// join helps until f's task count drains to zero, with the same
-// spin→yield→park idle protocol as the worker loop (every path that can
-// drop the count to zero calls Wake, so a parked joiner is always
-// roused).
+// join helps until f's task count drains to zero, idling as the worker
+// loop does (every path that can drop the count to zero calls Wake, so a
+// parked joiner is always roused).
 func (w *worker) join(f *Finish) {
 	rt := w.rt
-	for f.count.Load() > 0 {
+	zero := func() bool { return f.count.Load() == 0 }
+	for !zero() {
 		seq := rt.wakeSeq.Load()
-		if t, ok := w.next(); ok {
+		t, ok := w.next()
+		if !ok {
+			t = w.idle(seq, zero, false)
+		}
+		if t != nil {
 			w.run(t)
-			continue
 		}
-		if w.idleProgress() || w.spin() {
-			continue
-		}
-		rt.idleMu.Lock()
-		rt.sleepers.Add(1)
-		if rt.wakeSeq.Load() != seq { // see loop
-			rt.sleepers.Add(-1)
-			rt.idleMu.Unlock()
-			continue
-		}
-		if f.count.Load() == 0 {
-			rt.sleepers.Add(-1)
-			rt.idleMu.Unlock()
-			return
-		}
-		if t, ok := w.next(); ok {
-			rt.sleepers.Add(-1)
-			rt.idleMu.Unlock()
-			w.run(t)
-			continue
-		}
-		rt.parks.Inc()
-		rt.idleCond.Wait()
-		rt.sleepers.Add(-1)
-		rt.idleMu.Unlock()
 	}
 }
 
-// idleFind is one round of the idle protocol for a worker that must not
-// run what it finds on its own stack: scan, idle hook, spin, park. It
-// returns the task it found, or nil when the caller should re-check
-// over() and come back. Whatever makes over() true must call Wake, or be
-// Shutdown: the park is skipped only on a new wake ticket.
-func (w *worker) idleFind(over func() bool) *Task {
-	rt := w.rt
-	seq := rt.wakeSeq.Load()
-	if t, ok := w.next(); ok {
-		return t
+// find idles as a blocked task does until over holds, and returns the
+// first task it finds (nil once over holds) for the caller to hand on.
+func (w *worker) find(over func() bool) *Task {
+	for !over() {
+		seq := w.rt.wakeSeq.Load()
+		if t, ok := w.next(); ok {
+			return t
+		}
+		if t := w.idle(seq, over, true); t != nil {
+			return t
+		}
 	}
-	if w.idleProgress() {
-		return nil
-	}
-	if t, rescan := w.spinFind(over); t != nil || rescan {
-		return t
-	}
-	rt.idleMu.Lock()
-	rt.sleepers.Add(1)
-	if rt.wakeSeq.Load() == seq && !rt.done.Load() { // see loop
-		rt.parks.Inc()
-		rt.idleCond.Wait()
-	}
-	rt.sleepers.Add(-1)
-	rt.idleMu.Unlock()
 	return nil
 }
 
@@ -753,11 +688,8 @@ func (w *worker) idleFind(over func() bool) *Task {
 // run; the first task it does find goes to a stand-in, and from then on
 // the blocked task only waits to be resumed.
 func (w *worker) block(reg *ddtReg) {
-	for !reg.released() {
-		if t := w.idleFind(reg.released); t != nil {
-			w.suspend(reg, t)
-			return
-		}
+	if t := w.find(reg.released); t != nil {
+		w.suspend(reg, t)
 	}
 }
 
@@ -786,10 +718,10 @@ type suspension struct {
 // and the crosswise wait of two ranks' stacks is broken.
 func (w *worker) suspend(reg *ddtReg, t *Task) {
 	rt := w.rt
-	if w.id >= len(rt.workers) {
+	if w.detached() {
 		w.flush() // a helper's deque is invisible to thieves
 	}
-	s := &suspension{reg: reg, task: w, sub: rt.getHelper(true)}
+	s := &suspension{reg: reg, task: w, sub: rt.getHelper()}
 	s.sub.below.Store(w)
 	s.busy.Store(true)
 	rt.suspensions.Inc()
@@ -831,16 +763,10 @@ func (s *suspension) standIn(first *Task) {
 	w, rt := s.sub, s.sub.rt
 	defer rt.wg.Done()
 	over := func() bool { return s.reg.released() || rt.done.Load() }
-	for t := first; ; {
+	for t := first; t != nil; t = w.find(over) {
+		s.busy.Store(true)
 		w.run(t)
 		s.busy.Store(false)
-		for t = nil; t == nil && !over(); {
-			t = w.idleFind(over)
-		}
-		if t == nil {
-			break
-		}
-		s.busy.Store(true)
 	}
 	select {
 	case s.task.unblock <- struct{}{}:
@@ -876,8 +802,8 @@ var helperIDs atomic.Int64
 
 // getHelper pops a recycled helper context or builds one. Helper ids
 // are assigned once, at construction, and stay with the context across
-// reuses.
-func (rt *Runtime) getHelper(detached bool) *worker {
+// reuses; they lie above the pool's, which is what makes it detached.
+func (rt *Runtime) getHelper() *worker {
 	hw, ok := rt.helpers.Pop()
 	if !ok {
 		hw = &worker{
@@ -889,120 +815,11 @@ func (rt *Runtime) getHelper(detached bool) *worker {
 		}
 		hw.idleCtx.w = hw
 	}
-	hw.detached = detached
 	return hw
 }
 
 // putHelper recycles a helper context; its deque must be empty.
-func (rt *Runtime) putHelper(hw *worker) {
-	hw.detached = false
-	rt.helpers.Push(hw)
-}
-
-// HelpUntil keeps the calling goroutine productive while it waits for an
-// external condition: it executes queued tasks (as a thief over every
-// steal-visible deque, plus the inject queue) until pred() returns true.
-// Blocking constructs — phaser next, HCMPI wait paths — use it so that a
-// logically blocked task does not idle its worker (help-first policy).
-//
-// Tasks executed here run under a helper context whose Worker() id is
-// outside [0, NumWorkers); code keyed on worker ids must tolerate that.
-//
-// An idle helper spins, yields, then parks on idleCond — but unlike a
-// pool worker its park is BOUNDED (exponential backoff from
-// helperParkMin to helperParkMax): pred's trigger is external and not
-// guaranteed to call Wake, so an unbounded park could miss it.
-func (rt *Runtime) HelpUntil(pred func() bool) {
-	if pred() {
-		return
-	}
-	hw := rt.getHelper(false)
-	seq := rt.wakeSeq.Load()
-	idle := 0
-	park := helperParkMin
-	for !pred() {
-		if t, ok := hw.nextHelper(); ok {
-			hw.run(t)
-			idle = 0
-			park = helperParkMin
-			continue
-		}
-		if s := rt.wakeSeq.Load(); s != seq {
-			seq = s // work was just published; rescan without backing off
-			idle = 0
-			continue
-		}
-		idle++
-		if idle <= spinSweeps {
-			runtime.Gosched()
-			continue
-		}
-		rt.parkBounded(hw, park)
-		if park < helperParkMax {
-			park *= 2
-		}
-	}
-	// Anything spawned by helped tasks and not yet executed becomes
-	// globally visible again.
-	hw.flush()
-	rt.putHelper(hw)
-}
-
-// nextHelper is the helper's work-finding order: own (invisible) deque,
-// injected tasks, then a batched sweep over every steal-visible deque.
-func (w *worker) nextHelper() (*Task, bool) {
-	if t, ok := w.deque.Pop(); ok {
-		return t, true
-	}
-	if t, ok := w.rt.inject.Pop(); ok {
-		return t, true
-	}
-	return w.stealAll()
-}
-
-// parkBounded parks hw on idleCond for at most d: the helper's reusable
-// timer broadcasts the condition when the bound expires. The timer
-// callback takes idleMu, so it cannot fire between the Reset and the
-// Wait — the broadcast is only deliverable once the helper is waiting.
-func (rt *Runtime) parkBounded(hw *worker, d time.Duration) {
-	rt.idleMu.Lock()
-	rt.sleepers.Add(1)
-	if hw.parkTimer == nil {
-		hw.parkTimer = time.AfterFunc(d, rt.broadcastIdle)
-	} else {
-		hw.parkTimer.Reset(d)
-	}
-	rt.parks.Inc()
-	rt.idleCond.Wait()
-	hw.parkTimer.Stop()
-	rt.sleepers.Add(-1)
-	rt.idleMu.Unlock()
-}
-
-// broadcastIdle rouses every idleCond waiter; pool workers woken
-// spuriously re-scan and re-park.
-func (rt *Runtime) broadcastIdle() {
-	rt.idleMu.Lock()
-	rt.idleCond.Broadcast()
-	rt.idleMu.Unlock()
-}
-
-// stealAll sweeps every steal-visible deque (the helper owns none of
-// them), moving batches into the helper's own deque.
-func (w *worker) stealAll() (*Task, bool) {
-	n := len(w.rt.stealSet)
-	if n == 0 {
-		return nil, false
-	}
-	start := w.rng.Intn(n)
-	for i := 0; i < n; i++ {
-		if t, moved, ok := w.rt.stealSet[(start+i)%n].StealBatch(w.deque); ok {
-			w.stole(-1, moved)
-			return t, true
-		}
-	}
-	return nil, false
-}
+func (rt *Runtime) putHelper(hw *worker) { rt.helpers.Push(hw) }
 
 // Finish tracks the live-task count of one finish scope.
 type Finish struct {

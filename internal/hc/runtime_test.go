@@ -158,8 +158,8 @@ func TestWorkStealingSpreadsLoad(t *testing.T) {
 		if spin.Load() != 64_000 {
 			t.Fatalf("spin = %d", spin.Load())
 		}
-		if rt.TasksRun() < 64 {
-			t.Fatalf("TasksRun = %d", rt.TasksRun())
+		if n := rt.Metrics().Counter("hc_tasks_run").Load(); n < 64 {
+			t.Fatalf("hc_tasks_run = %d", n)
 		}
 	})
 }
@@ -264,39 +264,6 @@ func TestShutdownIdempotentWorkers(t *testing.T) {
 	rt.Shutdown()
 	// Workers have exited; a second Shutdown must not hang or panic.
 	rt.Shutdown()
-}
-
-func TestHelpUntilExecutesQueuedTasks(t *testing.T) {
-	// A goroutine blocked on an external condition keeps the pool
-	// productive by stealing queued work.
-	withRT(t, 1, func(rt *Runtime) {
-		var done atomic.Int64
-		var cond atomic.Bool
-		rt.Root(func(ctx *Ctx) {
-			ctx.Finish(func(ctx *Ctx) {
-				for i := 0; i < 20; i++ {
-					ctx.Async(func(*Ctx) {
-						done.Add(1)
-						if done.Load() == 20 {
-							cond.Store(true)
-						}
-					})
-				}
-				// Help from inside the root task: the single worker is
-				// occupied by us, so progress REQUIRES helping.
-				rt.HelpUntil(func() bool { return cond.Load() })
-			})
-		})
-		if done.Load() != 20 {
-			t.Fatalf("ran %d", done.Load())
-		}
-	})
-}
-
-func TestHelpUntilImmediateCondition(t *testing.T) {
-	withRT(t, 2, func(rt *Runtime) {
-		rt.HelpUntil(func() bool { return true }) // must not hang
-	})
 }
 
 func TestAsyncBlockingJoinsFinish(t *testing.T) {

@@ -73,12 +73,7 @@ type Config struct {
 	// Combine, when non-nil, turns the phaser into an accumulator:
 	// AccumNext contributions are folded pairwise with it.
 	Combine func(a, b any) any
-	// Waiter, when non-nil, replaces blocking waits: the phaser calls
-	// Waiter(pred) with its lock released and relies on it to return once
-	// pred() is true. HCMPI installs hc.Runtime.HelpUntil here so that a
-	// task blocked at next keeps its worker executing other tasks.
-	Waiter func(pred func() bool)
-	Hooks  Hooks
+	Hooks   Hooks
 	// Trace, when non-nil, records signal/wait/release events on this
 	// ring (HCMPI wires the node's phaser track here).
 	Trace *trace.Ring
@@ -196,7 +191,7 @@ func (r *Reg) Signal() {
 	if r.mode == WaitOnly {
 		panic("phaser: Signal on WAIT_ONLY registration")
 	}
-	p.waitLocked(func() bool { return r.phase <= p.phase })
+	p.waitLocked(r.phase)
 	myPhase := r.phase
 	r.phase++
 	p.arrived++
@@ -214,8 +209,7 @@ func (r *Reg) Wait() {
 	p := r.ph
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	target := r.phase // after Signal, phase k's release means p.phase > k-1
-	p.waitLocked(func() bool { return p.phase >= target })
+	p.waitLocked(r.phase) // after Signal, phase k's release means p.phase > k-1
 }
 
 // AccumNext contributes v to the phase's reduction and synchronizes like
@@ -235,16 +229,15 @@ func (r *Reg) next(v any, hasVal bool) {
 	}
 
 	if r.mode == WaitOnly {
-		target := r.phase
-		p.waitLocked(func() bool { return p.phase > target })
-		r.phase = target + 1
+		p.waitLocked(r.phase + 1)
+		r.phase++
 		p.mu.Unlock()
 		return
 	}
 
 	// Signal path. A SignalOnly task may be a full phase ahead; hold it
 	// until the phaser catches up.
-	p.waitLocked(func() bool { return r.phase <= p.phase })
+	p.waitLocked(r.phase)
 	myPhase := r.phase
 	r.phase++
 	p.arrived++
@@ -262,35 +255,23 @@ func (r *Reg) next(v any, hasVal bool) {
 	released := p.checkCompleteLocked()
 
 	if r.mode == SignalWait && !released {
-		p.waitLocked(func() bool { return p.phase > myPhase })
+		p.waitLocked(myPhase + 1)
 	}
 	p.mu.Unlock()
 }
 
-// waitLocked blocks (p.mu held) until ready() is true, either on the
-// condition variable or via the configured help-first Waiter.
-func (p *Phaser) waitLocked(ready func() bool) {
-	if ready() {
+// waitLocked blocks (p.mu held) until p.phase has reached target. Every
+// caller's target derives from its registration's own phase, which only
+// that registration's task writes, under p.mu.
+func (p *Phaser) waitLocked(target int64) {
+	if p.phase >= target {
 		return
 	}
 	p.cfg.Trace.Emit(trace.EvPhaserWaitStart, p.phase, 0)
-	defer func() { p.cfg.Trace.Emit(trace.EvPhaserWaitEnd, p.phase, 0) }()
-	if p.cfg.Waiter == nil {
-		for !ready() {
-			p.cond.Wait()
-		}
-		return
+	for p.phase < target {
+		p.cond.Wait()
 	}
-	for !ready() {
-		p.mu.Unlock()
-		p.cfg.Waiter(func() bool {
-			p.mu.Lock()
-			ok := ready() //hclint:allow Waiter contract: the readiness predicate is a cheap field check, never a park
-			p.mu.Unlock()
-			return ok
-		})
-		p.mu.Lock()
-	}
+	p.cfg.Trace.Emit(trace.EvPhaserWaitEnd, p.phase, 0)
 }
 
 // checkCompleteLocked releases the phase if every signal-capable

@@ -465,30 +465,6 @@ func TestModeAccessorAndDoubleDropIdempotent(t *testing.T) {
 	}
 }
 
-func TestWaiterHookUsed(t *testing.T) {
-	// A phaser configured with a Waiter must route its waits through it.
-	var used atomic.Bool
-	p := New(Config{Waiter: func(pred func() bool) {
-		used.Store(true)
-		for !pred() {
-			time.Sleep(100 * time.Microsecond)
-		}
-	}})
-	a := p.Register(SignalWait)
-	b := p.Register(SignalWait)
-	done := make(chan struct{})
-	go func() {
-		a.Next()
-		close(done)
-	}()
-	time.Sleep(2 * time.Millisecond)
-	b.Next()
-	<-done
-	if !used.Load() {
-		t.Fatal("Waiter hook never invoked")
-	}
-}
-
 func TestDropDuringExternalRelease(t *testing.T) {
 	gate := make(chan struct{})
 	entered := make(chan struct{})
