@@ -1,8 +1,10 @@
 // Chaos demonstrates the deterministic fault plane: the same program run
-// under message loss (completes via comm-worker retries), under a network
-// partition (fails fast with ErrTimeout instead of hanging), and with
-// faults off (nothing changes). Re-running with the same -seed replays
-// the exact fault schedule.
+// with faults off (nothing changes), under message loss (completes: the
+// MPI layer retransmits every dropped message), and under a network
+// partition that never heals (the send fails with ErrMessageDropped once
+// its retransmissions are spent, the receive with ErrTimeout at
+// OpTimeout — no hang). Re-running with the same -seed replays the exact
+// fault schedule.
 package main
 
 import (
@@ -28,7 +30,6 @@ func main() {
 
 	fmt.Printf("— partitioned run (seed=%#x) —\n", *seed)
 	run(hcmpi.Config{Workers: 2, OpTimeout: 50 * time.Millisecond,
-		SendRetries: 1000, RetryBackoff: time.Millisecond,
 		Faults: &hcmpi.Faults{Seed: *seed,
 			Partitions: []hcmpi.FaultPartition{{Src: 0, Dst: 1}, {Src: 1, Dst: 0}}}})
 }
@@ -50,27 +51,18 @@ func run(cfg hcmpi.Config) {
 			}
 			s := n.StatsSnapshot()
 			if failed != nil {
-				kind := "other"
-				switch {
-				case errors.Is(failed, hcmpi.ErrTimeout):
-					kind = "ErrTimeout"
-				case errors.Is(failed, hcmpi.ErrRankFailed):
-					kind = "ErrRankFailed"
-				case errors.Is(failed, hcmpi.ErrMessageDropped):
-					kind = "ErrMessageDropped"
-				}
-				fmt.Printf("  rank 0: send failed with %s after %d retries — no hang\n",
-					kind, s.Retries)
+				fmt.Printf("  rank 0: send failed with %s after %d resends — no hang\n",
+					errName(failed), s.Retries)
 				return
 			}
-			fmt.Printf("  rank 0: %d sends delivered (retries=%d timeouts=%d)\n",
+			fmt.Printf("  rank 0: %d sends delivered (resends=%d timeouts=%d)\n",
 				msgs, s.Retries, s.Timeouts)
 		case 1:
 			buf := make([]byte, 16)
 			for i := 0; i < msgs; i++ {
 				st := n.Recv(ctx, buf, 0, 7)
 				if st.Err != nil {
-					fmt.Printf("  rank 1: recv %d failed: %v — no hang\n", i, st.Err)
+					fmt.Printf("  rank 1: recv %d failed with %s — no hang\n", i, errName(st.Err))
 					return
 				}
 				if got, want := string(buf[:st.Bytes]), fmt.Sprintf("msg-%02d", i); got != want {
@@ -82,4 +74,17 @@ func run(cfg hcmpi.Config) {
 		}
 	})
 	fmt.Printf("  metrics: %s\n", agg.Summary())
+}
+
+// errName names the fault sentinel err wraps.
+func errName(err error) string {
+	switch {
+	case errors.Is(err, hcmpi.ErrTimeout):
+		return "ErrTimeout"
+	case errors.Is(err, hcmpi.ErrRankFailed):
+		return "ErrRankFailed"
+	case errors.Is(err, hcmpi.ErrMessageDropped):
+		return "ErrMessageDropped"
+	}
+	return err.Error()
 }

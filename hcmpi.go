@@ -151,8 +151,9 @@ var (
 	ErrTimeout = mpi.ErrTimeout
 	// ErrRankFailed: the peer rank crashed (fail-stop).
 	ErrRankFailed = mpi.ErrRankFailed
-	// ErrMessageDropped: the network dropped the message and the
-	// communication worker's retry budget is exhausted.
+	// ErrMessageDropped: the network dropped the message and every one
+	// of the MPI layer's retransmissions of it (a partition that does
+	// not heal).
 	ErrMessageDropped = mpi.ErrMessageDropped
 )
 
@@ -207,11 +208,6 @@ type Config struct {
 	// blocking forever under a partition or crashed rank, the operation
 	// fails with ErrTimeout in its Status. 0 disables timeouts.
 	OpTimeout time.Duration
-	// SendRetries and RetryBackoff tune the communication worker's
-	// retransmission of network-dropped sends (default 8 retries, 100µs
-	// base backoff doubling per attempt).
-	SendRetries  int
-	RetryBackoff time.Duration
 	// Tracer, when non-nil, records the job's timeline: every rank's
 	// computation workers, communication worker, MPI endpoint, and the
 	// interconnect fault plane. Nil disables tracing at (near) zero cost.
@@ -252,7 +248,6 @@ func (cfg Config) worldOptions() []mpi.Option {
 
 func (cfg Config) nodeConfig() hcmpi.Config {
 	return hcmpi.Config{Workers: cfg.Workers, OpTimeout: cfg.OpTimeout,
-		SendRetries: cfg.SendRetries, RetryBackoff: cfg.RetryBackoff,
 		Tracer: cfg.Tracer}
 }
 

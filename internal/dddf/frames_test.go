@@ -184,7 +184,7 @@ func TestChaosFrameDropLosesNoGuid(t *testing.T) {
 	var retries atomic.Int64
 	w := mpi.NewWorld(2, mpi.WithFaults(netsim.Faults{Seed: seed, DropProb: 0.2}))
 	w.Run(func(c *mpi.Comm) {
-		n := hcmpi.NewNode(c, hcmpi.Config{Workers: 2, SendRetries: 64, RetryBackoff: 20 * time.Microsecond})
+		n := hcmpi.NewNode(c, hcmpi.Config{Workers: 2})
 		s := NewSpace(n, home, nil)
 		n.Main(func(ctx *hc.Ctx) {
 			me, peer := n.Rank(), 1-n.Rank()

@@ -13,8 +13,10 @@ import (
 // DDF — but every wait is help-first, and blocks the task rather than
 // joining a finish { async await(req) }: see await.
 
-// Isend starts an asynchronous send (HCMPI_Isend). The buffer is handed
-// off immediately and may be reused by the caller.
+// Isend starts an asynchronous send (HCMPI_Isend). The buffer belongs to
+// the library until the request completes: the sweep that dispatches the
+// send copies it then, not when Isend returns, so the caller must not
+// write it before a Wait or Test has seen the request complete.
 func (n *Node) Isend(buf []byte, dest, tag int) *Request {
 	req := n.newRequest()
 	t := n.allocTask()

@@ -35,13 +35,13 @@ func runChaos(t *testing.T, ranks int, f netsim.Faults, cfg Config, body func(n 
 	return w
 }
 
-// (a) Send/recv under 10% message loss still completes: the communication
-// worker re-issues dropped sends with capped exponential backoff, so the
-// application sees every payload exactly once and no errors.
+// (a) Send/recv under 10% message loss still completes: mpi's send core
+// retransmits every dropped message, so the application sees every
+// payload exactly once and no errors, and the node counts the resends.
 func TestChaosDropRetryCompletes(t *testing.T) {
 	skipShort(t)
 	const msgs = 60
-	cfg := Config{Workers: 2, OpTimeout: 30 * time.Second, RetryBackoff: 50 * time.Microsecond}
+	cfg := Config{Workers: 2, OpTimeout: 30 * time.Second}
 	var retries int64
 	w := runChaos(t, 2, netsim.Faults{Seed: chaosSeed, DropProb: 0.10}, cfg,
 		func(n *Node, ctx *hc.Ctx) {
@@ -71,18 +71,18 @@ func TestChaosDropRetryCompletes(t *testing.T) {
 		t.Fatalf("seed=%#x: nothing dropped, chaos inactive: %+v", chaosSeed, st)
 	}
 	if retries == 0 {
-		t.Fatalf("seed=%#x: drops occurred but the worker never retried", chaosSeed)
+		t.Fatalf("seed=%#x: drops occurred but no resend was counted", chaosSeed)
 	}
 }
 
-// (b) A partitioned link times out with ErrTimeout instead of hanging:
-// the send burns through its backoff schedule until the deadline, the
-// receive is withdrawn at its deadline, and Close's final barrier (also
-// crossing the partition) is bounded by the collective watchdog.
+// (b) A partition that never heals fails both ends instead of hanging:
+// the send with ErrMessageDropped once mpi's send core has spent its
+// resends (in microseconds, long before the deadline), the receive with
+// ErrTimeout when it is withdrawn at its deadline, and Close's final
+// barrier (also crossing the partition) is bounded by OpTimeout.
 func TestChaosPartitionTimesOut(t *testing.T) {
 	skipShort(t)
-	cfg := Config{Workers: 2, OpTimeout: 40 * time.Millisecond,
-		SendRetries: 1000, RetryBackoff: time.Millisecond}
+	cfg := Config{Workers: 2, OpTimeout: 40 * time.Millisecond}
 	f := netsim.Faults{Seed: chaosSeed,
 		Partitions: []netsim.Partition{{Src: 0, Dst: 1}, {Src: 1, Dst: 0}}}
 	start := time.Now()
@@ -90,11 +90,11 @@ func TestChaosPartitionTimesOut(t *testing.T) {
 		switch n.Rank() {
 		case 0:
 			st := n.Send(ctx, []byte("into the void"), 1, 3)
-			if !errors.Is(st.Err, mpi.ErrTimeout) {
-				t.Errorf("seed=%#x: send across partition: err=%v", chaosSeed, st.Err)
+			if !errors.Is(st.Err, mpi.ErrMessageDropped) {
+				t.Errorf("seed=%#x: send across partition: err=%v, want ErrMessageDropped", chaosSeed, st.Err)
 			}
 			if n.StatsSnapshot().Retries == 0 {
-				t.Errorf("seed=%#x: partitioned send never retried before timing out", chaosSeed)
+				t.Errorf("seed=%#x: partitioned send failed without a resend", chaosSeed)
 			}
 		case 1:
 			buf := make([]byte, 16)

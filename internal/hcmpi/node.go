@@ -86,8 +86,8 @@ const (
 	kindOneSided
 	// kindFlush sends an Outbox frame. The task is prescribed empty and
 	// binds the frame when it is dispatched; from then on it is a
-	// kindIsend whose buffer it owns (polled, retried and timed out as a
-	// unit), told apart by its outbox field.
+	// kindIsend whose buffer it owns (polled and timed out as a unit),
+	// told apart by its outbox field.
 	kindFlush
 )
 
@@ -121,11 +121,7 @@ type commTask struct {
 	// buffer the task owns rather than the caller's.
 	outbox *Outbox
 
-	// Fault-plane bookkeeping: retransmission attempts so far, the
-	// earliest instant the next attempt may be issued (capped exponential
-	// backoff), and the operation's overall deadline (zero = none).
-	retries  int
-	retryAt  time.Time
+	// deadline is the operation's overall deadline (zero = none).
 	deadline time.Time
 
 	// The padding rounds the task up to three 64-byte cache lines. Tasks
@@ -134,7 +130,7 @@ type commTask struct {
 	// goroutines that prescribe and sweep them: at 176 bytes pingpong_8b
 	// made 0.84 × the round trips per second it makes at 192 (ten of ten
 	// pairs). TestCommTaskFillsCacheLines holds the size.
-	_ [16]byte
+	_ [48]byte
 }
 
 func (t *commTask) setState(s CommState) { t.state.Store(int32(s)) }
@@ -155,7 +151,7 @@ func (t *commTask) reset() {
 	t.issue = nil
 	t.cancelTarget = nil
 	t.outbox = nil
-	t.retries, t.retryAt, t.deadline = 0, time.Time{}, time.Time{}
+	t.deadline = time.Time{}
 }
 
 // Status is the HCMPI completion record (HCMPI_Status).
@@ -165,10 +161,10 @@ type Status struct {
 	Bytes     int
 	Cancelled bool
 	// Err is non-nil when the operation failed instead of completing:
-	// mpi.ErrTimeout, mpi.ErrRankFailed, or mpi.ErrMessageDropped (after
-	// the retry budget). A failed request still completes its DDF, so
-	// awaiting tasks run (and finish scopes drain) instead of
-	// deadlocking; they observe the error through this field.
+	// mpi.ErrTimeout, mpi.ErrRankFailed, or mpi.ErrMessageDropped (mpi's
+	// send core retransmitted it and gave up). A failed request still
+	// completes its DDF, so awaiting tasks run (and finish scopes drain)
+	// instead of deadlocking; they observe the error through this field.
 	Err error
 	// Payload is set for operations that adopt variable-size data
 	// (RecvBytes-style receives and collective results).
@@ -223,19 +219,11 @@ type Config struct {
 	// PollSleep caps the dedicated communication worker's idle sleep.
 	// After a spin and yield phase, an idle worker sleeps exponentially
 	// longer per empty sweep — 1µs, 2µs, 4µs, … — up to this value, and
-	// never past the earliest pending deadline or retry instant it saw on
-	// its last sweep. It bounds reaction time only while every computation
-	// worker is busy: idle and waiting computation workers drive the same
-	// sweep themselves, without sleeping. Default 20µs.
+	// never past the earliest pending deadline it saw on its last sweep.
+	// It bounds reaction time only while every computation worker is
+	// busy: idle and waiting computation workers drive the same sweep
+	// themselves, without sleeping. Default 20µs.
 	PollSleep time.Duration
-	// SendRetries is how many times the communication worker re-issues a
-	// send whose message the network reported dropped. Sends are
-	// idempotent at this layer (the payload was never delivered), so
-	// retransmission is safe. Default 8; negative disables retries.
-	SendRetries int
-	// RetryBackoff is the backoff before the first re-issue; it doubles
-	// per retry, capped at 64x the base. Default 100µs.
-	RetryBackoff time.Duration
 	// OpTimeout bounds every communication operation (point-to-point,
 	// one-sided, and collective): an operation not complete within the
 	// window fails with mpi.ErrTimeout in its Status instead of blocking
@@ -269,9 +257,6 @@ type Node struct {
 	// the sweep advances.
 	active    []*commTask
 	listeners []*listener
-	// pendingRetry holds dropped sends waiting out their backoff before
-	// a sweep re-issues them.
-	pendingRetry []*commTask
 	// driver is the computation worker driving the current sweep, nil
 	// when the dedicated worker does; ring is where the sweep's trace
 	// events go (the driver's timeline, else commRing).
@@ -325,8 +310,9 @@ type StatsSnapshot struct {
 	Allocated   int64
 	Polls       int64
 	Dispatched  int64
-	// Fault-plane counters: send re-issues after a network drop, timed
-	// out operations, and operations completed with a non-nil Err.
+	// Fault-plane counters: retransmissions of this rank's dropped
+	// messages (made by mpi's send core), timed out operations, and
+	// operations completed with a non-nil Err.
 	Retries  int64
 	Timeouts int64
 	Failures int64
@@ -345,12 +331,6 @@ func NewNode(c *mpi.Comm, cfg Config) *Node {
 	}
 	if cfg.PollSleep == 0 {
 		cfg.PollSleep = 20 * time.Microsecond
-	}
-	if cfg.SendRetries == 0 {
-		cfg.SendRetries = 8
-	}
-	if cfg.RetryBackoff == 0 {
-		cfg.RetryBackoff = 100 * time.Microsecond
 	}
 	n := &Node{
 		comm:      c,
@@ -380,6 +360,7 @@ func NewNode(c *mpi.Comm, cfg Config) *Node {
 		stolen:      m.Counter("comm_progress_stolen"),
 		contended:   m.Counter("comm_progress_contended"),
 	}
+	c.CountResends(n.stats.retries)
 	n.rt.SetIdleProgress(n.idleSweep)
 	go n.commWorker()
 	return n
@@ -511,10 +492,9 @@ func (n *Node) prescribe(t *commTask) {
 }
 
 // retire recycles a completed task structure. Only COMPLETED tasks may be
-// recycled: a task still ACTIVE (polled, awaiting retry, or advancing a
-// collective schedule) reaching here would be a use-after-free in the
-// making, so the lifecycle is asserted, which the recycling stress test
-// leans on.
+// recycled: a task still ACTIVE (polled, or advancing a collective
+// schedule) reaching here would be a use-after-free in the making, so
+// the lifecycle is asserted, which the recycling stress test leans on.
 func (n *Node) retire(t *commTask) {
 	if s := t.State(); s != StateCompleted {
 		panic(fmt.Sprintf("hcmpi: retiring a %v task", s))
@@ -533,35 +513,9 @@ func (n *Node) haltListeners() {
 	}
 }
 
-// shouldRetry reports whether an errored completion is worth re-issuing:
-// only sends (idempotent — a dropped message was never delivered), only
-// on the transport's drop signal, and only within the retry budget. Rank
-// failures and timeouts are terminal.
-func (n *Node) shouldRetry(t *commTask, st *mpi.Status) bool {
-	return st.Err != nil && t.kind == kindIsend &&
-		errors.Is(st.Err, mpi.ErrMessageDropped) && t.retries < n.cfg.SendRetries
-}
-
-// scheduleRetry parks a dropped send until its backoff elapses: the delay
-// doubles per attempt from RetryBackoff, capped at 64x the base. The
-// dropped attempt's request handle is recycled here; the re-issue (in
-// progress) draws a fresh one.
-func (n *Node) scheduleRetry(t *commTask, clk *sweepClock) {
-	t.req.Free()
-	t.req = nil
-	n.stats.retries.Add(1)
-	backoff := n.cfg.RetryBackoff << t.retries
-	if cap := n.cfg.RetryBackoff << 6; backoff > cap {
-		backoff = cap
-	}
-	t.retries++
-	t.retryAt = clk.now().Add(backoff)
-	n.pendingRetry = append(n.pendingRetry, t)
-}
-
 // isend issues a send task's MPI operation. A flush task's frame is a
-// pool buffer handed over without a staging copy; the transport gives it
-// back only with a drop verdict, which is what lets a retry send it again.
+// pool buffer handed over without a staging copy: the transport owns it
+// from here on, whatever the outcome.
 func (n *Node) isend(t *commTask) *mpi.Request {
 	if t.outbox != nil {
 		return n.comm.IsendReservedOwned(t.buf, t.peer, t.tag)
@@ -610,19 +564,11 @@ func (n *Node) finishP2P(t *commTask, st *mpi.Status) {
 	n.completeP2P(t, st)
 }
 
-// settle handles a polled operation whose MPI request has completed with
-// st: a dropped send within its retry budget is scheduled for re-issue,
-// anything else is published.
-func (n *Node) settle(t *commTask, st *mpi.Status, clk *sweepClock) {
-	if n.shouldRetry(t, st) {
-		n.scheduleRetry(t, clk)
-		return
-	}
+// settle publishes a polled operation whose MPI request has completed
+// with st.
+func (n *Node) settle(t *commTask, st *mpi.Status) {
 	n.ring.Emit(trace.EvCommBusyStart, t.id, int64(t.kind))
 	id := t.id // publishing recycles t
-	if t.outbox != nil && errors.Is(st.Err, mpi.ErrMessageDropped) {
-		n.comm.Buffers().Put(t.buf) // out of retries: the frame came back and goes nowhere
-	}
 	n.finishP2P(t, st)
 	n.ring.Emit(trace.EvCommBusyEnd, id, 0)
 }
@@ -634,7 +580,7 @@ func (n *Node) settle(t *commTask, st *mpi.Status, clk *sweepClock) {
 func (n *Node) activate(t *commTask, clk *sweepClock) {
 	n.traceState(n.ring, t, StateActive)
 	if st, ok := t.req.TestStatus(); ok {
-		n.settle(t, &st, clk)
+		n.settle(t, &st)
 		return
 	}
 	n.watch(t, clk)

@@ -63,7 +63,7 @@ func (n *Node) NewOutbox(dest, tag int, metric string) *Outbox {
 // Append adds one record — the concatenation of parts, copied before
 // the call returns — to the open frame, and makes sure a flush is on its
 // way. Like SendReserved it does not wait for delivery; a frame the
-// network drops is retransmitted whole under the node's retry budget.
+// network drops is retransmitted whole by mpi's send core.
 func (o *Outbox) Append(parts ...[]byte) {
 	size := 0
 	for _, p := range parts {

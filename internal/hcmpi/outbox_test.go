@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"hcmpi/internal/hc"
 	"hcmpi/internal/invariant"
@@ -151,14 +150,14 @@ func TestOutboxLoneAndOversizedRecords(t *testing.T) {
 	})
 }
 
-// A frame the network drops comes back to its flush task and is sent
-// again whole: no record is lost, none is delivered twice, and the
-// frame's buffer is neither leaked to a later frame nor recycled while
-// the retry still needs it (the race detector and the poison pattern of
-// -tags hcmpi_debug watch the latter).
+// A frame the network drops is retransmitted whole by mpi's send core:
+// no record is lost, none is delivered twice, and the frame's buffer is
+// neither leaked to a later frame nor recycled while a resend still
+// needs it (the race detector and the poison pattern of -tags
+// hcmpi_debug watch the latter).
 func TestOutboxDropRetransmitsWholeFrame(t *testing.T) {
 	const frames, perFrame = 40, 25
-	cfg := Config{Workers: 1, SendRetries: 64, RetryBackoff: 20 * time.Microsecond}
+	cfg := Config{Workers: 1}
 	var retries int64
 	w := runChaos(t, 2, netsim.Faults{Seed: chaosSeed, DropProb: 0.3}, cfg, func(n *Node, ctx *hc.Ctx) {
 		sink := &boxSink{seen: make([]atomic.Int32, frames*perFrame)}

@@ -33,13 +33,17 @@ import (
 const (
 	// waitHelpRounds is how many sweeps a blocking call drives before it
 	// registers on the request and lets its worker run other tasks or
-	// park (about 2.5 µs on the reference box when there are deadlines to
-	// check, which costs a clock read per sweep; about 1 µs otherwise); waitHelpTries bounds the attempts it makes to get them (a lost
-	// try-lock means someone else is sweeping, quite possibly completing
-	// this very operation, so it is worth another look but not a sweep). A same-host reply arrives within a few
-	// sweeps; past that the wait is long enough for a park to be cheaper
-	// than the spinning, and to leave the processor to whoever will
-	// produce the completion (the TCP mesh's reader goroutines).
+	// park: about 2.5 µs on the reference box when there are deadlines
+	// to check, which costs a clock read per sweep, and about 1 µs
+	// otherwise. A same-host reply arrives within a few sweeps; past
+	// that the wait is long enough for a park to be cheaper than the
+	// spinning, and to leave the processor to whoever will produce the
+	// completion (the TCP mesh's reader goroutines).
+	//
+	// waitHelpTries bounds the attempts it makes to get those sweeps. A
+	// lost try-lock means someone else is sweeping, quite possibly
+	// completing this very operation, so it is worth another look but
+	// not a sweep.
 	waitHelpRounds = 16
 	waitHelpTries  = 8 * waitHelpRounds
 	// listenBatch bounds how many messages one sweep hands to one
@@ -53,7 +57,7 @@ const (
 )
 
 // sweepClock reads the wall clock at most once per sweep, and only if
-// the sweep needs it (a deadline to stamp or to check, a backoff).
+// the sweep needs it (a deadline to stamp or to check).
 type sweepClock struct{ t time.Time }
 
 func (c *sweepClock) now() time.Time {
@@ -114,8 +118,7 @@ func (n *Node) progress() bool {
 	}
 
 	// 3. Poll ACTIVE operations (MPI_Test) and advance collective
-	// schedules. Errored completions either schedule a retransmit
-	// (dropped idempotent sends) or surface through the request DDF;
+	// schedules. Errored completions surface through the request DDF;
 	// deadline overruns are failed with ErrTimeout so no awaiter blocks
 	// forever.
 	live := n.active[:0]
@@ -126,7 +129,7 @@ func (n *Node) progress() bool {
 				continue
 			}
 		} else if st, ok := t.req.TestStatus(); ok {
-			n.settle(t, &st, &clk)
+			n.settle(t, &st)
 			progressed = true
 			continue
 		}
@@ -139,27 +142,6 @@ func (n *Node) progress() bool {
 	}
 	n.active = live
 
-	// 3b. Re-issue dropped sends whose backoff has elapsed.
-	if len(n.pendingRetry) > 0 {
-		now := clk.now()
-		waiting := n.pendingRetry[:0]
-		for _, t := range n.pendingRetry {
-			switch {
-			case !t.deadline.IsZero() && now.After(t.deadline):
-				n.stats.timeouts.Add(1)
-				n.stats.failures.Add(1)
-				n.completeLocal(t, &Status{Err: mpi.ErrTimeout})
-				progressed = true
-			case !now.Before(t.retryAt):
-				t.req = n.isend(t)
-				n.active = append(n.active, t)
-				progressed = true
-			default:
-				waiting = append(waiting, t)
-			}
-		}
-		n.pendingRetry = waiting
-	}
 	return progressed
 }
 
@@ -244,15 +226,15 @@ func (n *Node) commWorker() {
 // drained reports whether the engine holds no unfinished operation
 // (sweepMu held).
 func (n *Node) drained() bool {
-	return n.worklist.Empty() && len(n.active) == 0 && len(n.pendingRetry) == 0
+	return n.worklist.Empty() && len(n.active) == 0
 }
 
 // idleSleep parks the idle dedicated worker. The sleep doubles from 1µs
 // per idle round up to cfg.PollSleep (so a briefly quiet worker reacts
 // in microseconds while a long-idle one settles at the configured cap),
 // and is additionally clipped to nextEvent when scheduled — the time
-// until the earliest deadline or retry instant the worker's last sweep
-// saw — so adaptivity never delays a timeout or retransmission decision.
+// until the earliest deadline the worker's last sweep saw — so
+// adaptivity never delays a timeout.
 func (n *Node) idleSleep(rounds int, nextEvent time.Duration, scheduled bool) {
 	if rounds > 16 {
 		rounds = 16
@@ -270,24 +252,14 @@ func (n *Node) idleSleep(rounds int, nextEvent time.Duration, scheduled bool) {
 	time.Sleep(d)
 }
 
-// nextEventIn returns how long until the earliest scheduled event a
-// sweep must act on: the oldest active-operation deadline or
-// pending-retry wake-up (sweepMu held). ok is false when nothing is
-// scheduled.
+// nextEventIn returns how long until the earliest active-operation
+// deadline a sweep must act on (sweepMu held). ok is false when no
+// operation has one.
 func (n *Node) nextEventIn() (time.Duration, bool) {
 	var earliest time.Time
 	for _, t := range n.active {
 		if !t.deadline.IsZero() && (earliest.IsZero() || t.deadline.Before(earliest)) {
 			earliest = t.deadline
-		}
-	}
-	for _, t := range n.pendingRetry {
-		at := t.retryAt
-		if !t.deadline.IsZero() && t.deadline.Before(at) {
-			at = t.deadline
-		}
-		if earliest.IsZero() || at.Before(earliest) {
-			earliest = at
 		}
 	}
 	if earliest.IsZero() {

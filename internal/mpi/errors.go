@@ -9,8 +9,8 @@ import (
 // netsim) or a per-request deadline interferes with an operation. They
 // are the substrate's analogue of MPI error classes: ErrTimeout ~
 // MPI_ERR_PENDING after a bounded wait, ErrRankFailed ~ MPI_ERR_PROC_FAILED
-// (ULFM), ErrMessageDropped is the transport-level loss signal upper
-// layers (HCMPI's communication worker, the collectives) retry on.
+// (ULFM), ErrMessageDropped is the transport-level loss signal, raised
+// once the send core has given up retransmitting.
 var (
 	// ErrTimeout marks an operation that exceeded its deadline. The
 	// operation is dead: a timed-out receive has been withdrawn from the
@@ -21,8 +21,9 @@ var (
 	// failed rank complete with this error.
 	ErrRankFailed = errors.New("mpi: peer rank failed")
 	// ErrMessageDropped marks a send whose message the network dropped
-	// (and automatic retransmission, if any, was exhausted). Resending is
-	// safe: the payload was never delivered.
+	// on the first attempt and on every one of the send core's maxResends
+	// retransmissions: in practice, a partition that does not heal.
+	// Resending is safe: the payload was never delivered.
 	ErrMessageDropped = errors.New("mpi: message dropped by network")
 )
 
@@ -41,7 +42,7 @@ func (c *Comm) SetDeadline(d time.Duration) { c.deadline.Store(int64(d)) }
 // with ErrTimeout (the message itself may still be in flight).
 func (c *Comm) IsendTimeout(buf []byte, dest, tag int, d time.Duration) *Request {
 	checkUserTag(tag)
-	return c.isendOpts(buf, dest, tag, false, 0, d)
+	return c.isendOpts(buf, dest, tag, false, d)
 }
 
 // IrecvTimeout is Irecv with a per-request deadline: if no matching

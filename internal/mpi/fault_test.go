@@ -2,12 +2,14 @@ package mpi
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"sync"
 	"testing"
 	"time"
 
 	"hcmpi/internal/netsim"
+	"hcmpi/internal/trace"
 )
 
 // chaosSeed keys every seeded schedule in this file. A failing run is
@@ -236,36 +238,75 @@ func TestCancelDeliverRaceHasOneWinner(t *testing.T) {
 	}
 }
 
-// A dropped owned send hands its buffer back, intact and not recycled,
-// so the caller can send the very same bytes again.
-func TestOwnedSendDropReturnsBuffer(t *testing.T) {
+// A user send under message loss completes without an error on both
+// netsim send paths — the pooled sendOp (no duplication) and the closure
+// path of a duplicating fault plane — because the send core retransmits
+// every dropped message, and every resend is counted on the sender's
+// counter: one per drop, since no sender gives up here.
+func TestIsendDropRetransmits(t *testing.T) {
+	skipShort(t)
+	const msgs = 200
+	for _, dup := range []float64{0, 0.2} {
+		w := NewWorld(2, WithFaults(netsim.Faults{Seed: chaosSeed, DropProb: 0.3, DupProb: dup}))
+		c0, c1 := w.Comm(0), w.Comm(1)
+		if c0.fastSend != (dup == 0) {
+			t.Fatalf("DupProb %v: pooled send path taken = %v", dup, c0.fastSend)
+		}
+		var resends trace.Counter
+		c0.CountResends(&resends)
+		buf := make([]byte, 8)
+		for i := 0; i < msgs; i++ {
+			binary.LittleEndian.PutUint64(buf, uint64(i))
+			if st := c0.Isend(buf, 1, 5).WaitStatus(); st.Err != nil {
+				t.Fatalf("seed=%#x DupProb %v: send %d: %v", chaosSeed, dup, i, st.Err)
+			}
+		}
+		if dup == 0 {
+			for i := 0; i < msgs; i++ {
+				if st := c1.Recv(buf, 0, 5); st.Err != nil || binary.LittleEndian.Uint64(buf) != uint64(i) {
+					t.Fatalf("seed=%#x: recv %d: %+v, got message %d", chaosSeed, i, st, binary.LittleEndian.Uint64(buf))
+				}
+			}
+		}
+		w.Close()
+		dropped := w.Net().Stats().Dropped
+		if dropped == 0 || resends.Load() != dropped {
+			t.Errorf("seed=%#x DupProb %v: %d messages dropped, %d resends counted", chaosSeed, dup, dropped, resends.Load())
+		}
+	}
+}
+
+// An owned send whose first copy is dropped is delivered by the send
+// core's retransmission, with the sender's own buffer (no copy), and
+// that buffer returns to the pool once the receiver gives the payload
+// back. The sender's counter shows exactly the one resend.
+func TestOwnedSendDropRetransmitsSameBuffer(t *testing.T) {
 	const tag = -78 // a spare reserved tag
 	// The first message on the 0→1 link falls into a partition window.
 	w := NewWorld(2, WithFaults(netsim.Faults{Partitions: []netsim.Partition{{Src: 0, Dst: 1, From: 0, To: 1}}}))
 	defer w.Close()
 	c0, c1 := w.Comm(0), w.Comm(1)
+	var resends trace.Counter
+	c0.CountResends(&resends)
 	buf := c0.Buffers().Get(100)
 	copy(buf, "the same bytes")
 	r := c0.IsendReservedOwned(buf, 1, tag)
-	if st := r.WaitStatus(); !errors.Is(st.Err, ErrMessageDropped) {
-		t.Fatalf("first send: %+v, want ErrMessageDropped", st)
+	if st := r.WaitStatus(); st.Err != nil {
+		t.Fatalf("owned send across a one-message partition: %+v", st)
 	}
 	r.Free()
-	if other := c0.Buffers().Get(100); &other[0] == &buf[0] {
-		t.Fatal("the dropped send's buffer was recycled while its sender still owns it")
-	}
-	r = c0.IsendReservedOwned(buf, 1, tag)
 	got := c1.IrecvReserved(0, tag)
-	got.WaitStatus()
-	if st := r.WaitStatus(); st.Err != nil || !bytes.HasPrefix(got.Payload(), []byte("the same bytes")) {
-		t.Fatalf("resend: %+v, delivered %q", st, got.Payload())
+	if st := got.WaitStatus(); st.Err != nil || !bytes.HasPrefix(got.Payload(), []byte("the same bytes")) {
+		t.Fatalf("receive: %+v, delivered %q", st, got.Payload())
 	}
 	if &got.Payload()[0] != &buf[0] {
 		t.Error("the owned buffer was copied on the netsim fast path")
 	}
-	r.Free()
 	got.FreeWithPayload()
 	if back := c0.Buffers().Get(100); &back[0] != &buf[0] {
 		t.Error("the borrowed payload did not return to the pool")
+	}
+	if n := resends.Load(); n != 1 {
+		t.Errorf("%d resends counted, want 1", n)
 	}
 }

@@ -169,18 +169,11 @@ type Comm struct {
 	rank  int
 	size  int
 	node  int
-	// sendFn hands a copied payload to the transport; onDelivered fires
-	// when the message has reached the destination endpoint (for the TCP
-	// transport: when it has been handed to the OS, the closest
-	// observable analogue of MPI's eager-send completion). onDropped, if
-	// non-nil, fires instead when the transport's fault plane discards
-	// the message — the send layer's retransmit/fail signal. Reliable
-	// transports never invoke it.
-	sendFn func(dest, tag int, payload []byte, onDelivered, onDropped func())
 	// sendHook, when non-nil, replaces the whole send path: the transport
 	// stages its own copy of buf and owns completing req (the TCP mesh's
-	// asynchronous enqueue). It takes precedence over both the pooled
-	// netsim fast path and the sendFn slow path.
+	// asynchronous enqueue). It takes precedence over both netsim send
+	// paths, the pooled one and the closure one of a duplicating fault
+	// plane.
 	// With owned set, buf is a pool buffer the hook takes over as is.
 	sendHook func(req *Request, buf []byte, dest, tag int, owned bool)
 	// failedFn reports whether a peer rank has crashed (nil: no failure
@@ -220,8 +213,8 @@ type Comm struct {
 	// Request / send-op recycling (see Request.Free and sendOp). bufs is
 	// the transport's shared payload pool (nil on transports without
 	// one); fastSend gates the closure-free pooled send path — it is off
-	// for custom transports and for fault planes that can duplicate
-	// messages, where a delivery callback may run twice on one payload.
+	// for fault planes that can duplicate messages, where a delivery
+	// callback may run twice on one payload.
 	reqMu    sync.Mutex
 	reqPool  []*Request
 	sendMu   sync.Mutex
@@ -231,6 +224,11 @@ type Comm struct {
 	reqHit   *trace.Counter
 	reqMiss  *trace.Counter
 
+	// resends is the counter the send core adds this endpoint's
+	// retransmissions of dropped messages to (CountResends); nil until a
+	// runtime installs one.
+	resends atomic.Pointer[trace.Counter]
+
 	// metrics is the endpoint's counter registry: the world's for netsim
 	// comms, the mesh's for distributed comms.
 	metrics *trace.Metrics
@@ -239,6 +237,12 @@ type Comm struct {
 // Metrics exposes this endpoint's counter registry (request/buffer pool
 // hit rates; comm_tcp_* transport counters on distributed comms).
 func (c *Comm) Metrics() *trace.Metrics { return c.metrics }
+
+// CountResends makes every later retransmission of a dropped message
+// this endpoint sent add one to ctr: a runtime's per-rank counter (the
+// endpoint's metrics registry is the world's on netsim, shared by every
+// rank).
+func (c *Comm) CountResends(ctr *trace.Counter) { c.resends.Store(ctr) }
 
 // Buffers exposes the transport's payload pool, for runtime protocols
 // that build messages in place and send them with IsendReservedOwned.
@@ -263,16 +267,6 @@ func newComm(w *World, rank int) *Comm {
 	c.fastSend = w.opts.Faults == nil || w.opts.Faults.DupProb <= 0
 	c.reqHit = w.metrics.Counter("mpi_req_pool_hit")
 	c.reqMiss = w.metrics.Counter("mpi_req_pool_miss")
-	c.sendFn = func(dest, tag int, payload []byte, onDelivered, onDropped func()) {
-		dc := w.comms[dest]
-		src := c.rank
-		w.net.SendEx(src, dest, len(payload), func() {
-			dc.deliver(inMsg{src: src, tag: tag, payload: payload})
-			if onDelivered != nil {
-				onDelivered()
-			}
-		}, onDropped)
-	}
 	c.failedFn = w.net.Failed
 	return c
 }

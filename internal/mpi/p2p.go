@@ -445,7 +445,9 @@ func TestAny(reqs ...*Request) (int, *Status, bool) {
 // Isend starts a non-blocking send of buf to dest with the given tag. The
 // buffer is copied eagerly, so the caller may reuse it immediately; the
 // request completes when the message has traversed the link and arrived
-// at the destination endpoint.
+// at the destination endpoint. A message the network drops is
+// retransmitted, up to maxResends times, before the request fails with
+// ErrMessageDropped.
 func (c *Comm) Isend(buf []byte, dest, tag int) *Request {
 	checkUserTag(tag)
 	return c.isend(buf, dest, tag)
@@ -454,22 +456,19 @@ func (c *Comm) Isend(buf []byte, dest, tag int) *Request {
 // isend is the tag-unchecked variant used by collectives and runtime
 // protocols (which use reserved tags).
 func (c *Comm) isend(buf []byte, dest, tag int) *Request {
-	return c.isendOpts(buf, dest, tag, false, 0, 0)
+	return c.isendOpts(buf, dest, tag, false, 0)
 }
 
-// collSendRetries bounds the automatic retransmission the collective
-// algorithms use. Their rendezvous structure means one lost message hangs
-// a peer's matching receive, so collective sends are made reliable under
-// probabilistic loss; a still-dropped message after this many resends
-// means the link is partitioned or the peer crashed.
-const collSendRetries = 64
-
-// isendRetry is isend with bounded automatic retransmission on network
-// drop; the collective algorithms use it so a lossy fault plane cannot
-// hang a rendezvous.
-func (c *Comm) isendRetry(buf []byte, dest, tag int) *Request {
-	return c.isendOpts(buf, dest, tag, false, collSendRetries, 0)
-}
+// maxResends bounds how many times the send core retransmits a message
+// the network dropped before the request fails with ErrMessageDropped.
+// It is the only retransmission there is: every send gets it, and the
+// layers above see only the verdict. A resend goes out at once, since
+// waiting improves nothing: a drop is decided per message (DropProb) or
+// by the link's message index (a partition window, which each resend
+// moves past). A message still dropped after this many resends is
+// crossing a partition that does not heal. No measurement chose the
+// value (DESIGN.md §16).
+const maxResends = 64
 
 // sendOp carries one in-flight send through the simulated network as a
 // netsim.Delivery, replacing the two-to-three closures the legacy path
@@ -489,7 +488,6 @@ type sendOp struct {
 	tag     int
 	payload []byte
 	pooled  bool // payload came from the transport's buffer pool
-	owned   bool // payload is the sender's own buffer (IsendReservedOwned)
 	left    int  // remaining retransmissions
 }
 
@@ -532,44 +530,36 @@ func (s *sendOp) Deliver() {
 	s.release()
 }
 
-// Drop classifies a network drop: retransmit, fail the request, or — if
-// the request is already dead (deadline, or freed) — just reclaim.
+// Drop classifies a network drop. A request already dead (deadline, or
+// freed) is left alone, one to a crashed peer fails with ErrRankFailed,
+// and the rest are retransmitted while resends are left and fail with
+// ErrMessageDropped after. The payload is reclaimed unless it is resent.
 func (s *sendOp) Drop() {
 	c := s.c
-	if s.req.gen.Load() != s.gen || s.req.isDone() {
-		c.bufs.PutPooled(s.payload, s.pooled)
-		s.release()
-		return
-	}
-	if c.failed(s.dest) {
+	switch {
+	case s.req.gen.Load() != s.gen || s.req.isDone():
+	case c.failed(s.dest):
 		s.req.completeGen(s.gen, Status{Source: s.src, Tag: s.tag, Err: ErrRankFailed})
-		c.bufs.PutPooled(s.payload, s.pooled)
-		s.release()
-		return
-	}
-	if s.left > 0 {
+	case s.left > 0:
 		s.left--
+		c.resends.Load().Inc()
 		c.world.net.SendMsg(s.src, s.dest, len(s.payload), s)
 		return
+	default:
+		s.req.completeGen(s.gen, Status{Source: s.src, Tag: s.tag, Err: ErrMessageDropped})
 	}
-	// An owned payload goes back to the sender with the drop verdict (it
-	// re-sends the same bytes) — unless a deadline got there first, in
-	// which case the sender has already written the buffer off.
-	won := s.req.completeGen(s.gen, Status{Source: s.src, Tag: s.tag, Err: ErrMessageDropped})
-	if !(won && s.owned) {
-		c.bufs.PutPooled(s.payload, s.pooled)
-	}
+	c.bufs.PutPooled(s.payload, s.pooled)
 	s.release()
 }
 
-// isendOpts is the send core: retries is how many times a dropped message
-// is retransmitted before the request fails with ErrMessageDropped, and
-// timeout (0 = Comm default via SetDeadline) bounds the whole operation.
+// isendOpts is the send core: a dropped message is retransmitted up to
+// maxResends times, and timeout (0 = Comm default via SetDeadline)
+// bounds the whole operation.
 // With owned set, buf is a pool buffer the transport takes over instead
 // of staging a copy (see IsendReservedOwned).
 //
 //hclint:hotpath
-func (c *Comm) isendOpts(buf []byte, dest, tag int, owned bool, retries int, timeout time.Duration) *Request {
+func (c *Comm) isendOpts(buf []byte, dest, tag int, owned bool, timeout time.Duration) *Request {
 	checkRank(dest, c.size)
 	exit := c.enter()
 	req := c.newRequest(reqSend)
@@ -590,17 +580,17 @@ func (c *Comm) isendOpts(buf []byte, dest, tag int, owned bool, retries int, tim
 		s := c.newSendOp()
 		s.c, s.req, s.gen = c, req, req.gen.Load()
 		s.src, s.dest, s.tag = src, dest, tag
-		s.pooled, s.owned = c.bufs != nil, owned
+		s.pooled = c.bufs != nil
 		if owned {
 			s.payload = buf
 		} else {
 			s.payload = c.bufs.Get(len(buf))
 			copy(s.payload, buf)
 		}
-		s.left = retries
+		s.left = maxResends
 		c.world.net.SendMsg(src, dest, len(s.payload), s)
 	} else {
-		c.isendSlow(req, buf, dest, tag, retries)
+		c.isendSlow(req, buf, dest, tag)
 	}
 	if timeout <= 0 {
 		timeout = time.Duration(c.deadline.Load())
@@ -616,36 +606,33 @@ func (r *Request) failPeerSend(src, tag int) {
 	r.complete(Status{Source: src, Tag: tag, Err: ErrRankFailed})
 }
 
-// isendSlow is the closure-per-attempt send path, kept for transports
-// without the pooled fast path: custom sendFn endpoints (distributed
-// transports) and fault planes with message duplication, where a
-// delivery callback can run more than once.
-func (c *Comm) isendSlow(req *Request, buf []byte, dest, tag, retries int) {
+// isendSlow is the send path for a fault plane that duplicates
+// messages: a delivery callback can then run more than once, so each
+// attempt is a closure over a private copy of buf instead of a pooled
+// sendOp. A drop is classified as sendOp.Drop classifies it.
+func (c *Comm) isendSlow(req *Request, buf []byte, dest, tag int) {
 	payload := make([]byte, len(buf))
 	copy(payload, buf)
-	src := c.rank
+	src, dc, net := c.rank, c.world.comms[dest], c.world.net
 	var attempt func(left int)
 	attempt = func(left int) {
-		c.sendFn(dest, tag, payload, func() {
+		net.SendEx(src, dest, len(payload), func() {
+			dc.deliver(inMsg{src: src, tag: tag, payload: payload})
 			req.complete(Status{Source: src, Tag: tag, Bytes: len(payload)})
 		}, func() {
-			// The network dropped this copy. Classify, retransmit, or fail;
-			// a request already completed by its deadline stays dead.
-			if req.isDone() {
-				return
-			}
-			if c.failed(dest) {
+			switch {
+			case req.isDone():
+			case c.failed(dest):
 				req.complete(Status{Source: src, Tag: tag, Err: ErrRankFailed})
-				return
-			}
-			if left > 0 {
+			case left > 0:
+				c.resends.Load().Inc()
 				attempt(left - 1)
-				return
+			default:
+				req.complete(Status{Source: src, Tag: tag, Err: ErrMessageDropped})
 			}
-			req.complete(Status{Source: src, Tag: tag, Err: ErrMessageDropped})
 		})
 	}
-	attempt(retries)
+	attempt(maxResends)
 }
 
 // Send is the blocking send: it returns when the message has arrived at

@@ -23,12 +23,11 @@ func (c *Comm) IsendReserved(buf []byte, dest, tag int) *Request {
 // the transport takes buf over instead of staging a copy of it (the
 // netsim fast path and the TCP mesh send it as is; the closure path of
 // a duplicating fault plane still copies). buf is the transport's from
-// the call on — it is recycled by whoever consumes the message — with
-// one exception: a request that completes with ErrMessageDropped hands
-// buf back intact, so the caller can send the same bytes again.
+// the call on, whatever the outcome: it is recycled by whoever consumes
+// the message, or by the send core when the request fails.
 func (c *Comm) IsendReservedOwned(buf []byte, dest, tag int) *Request {
 	checkReservedTag(tag)
-	return c.isendOpts(buf, dest, tag, true, 0, 0)
+	return c.isendOpts(buf, dest, tag, true, 0)
 }
 
 // SendReserved is the blocking counterpart of IsendReserved.

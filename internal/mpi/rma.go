@@ -185,7 +185,7 @@ func (c *Comm) applyRMA(src int, payload []byte) {
 		out := make([]byte, n)
 		copy(out, w.buf[offset:offset+n])
 		w.mu.Unlock()
-		c.isendRetry(rmaEncode(rmaGetResp, winID, offset, seq, dt, op, out), src, tagRMAResp)
+		c.isend(rmaEncode(rmaGetResp, winID, offset, seq, dt, op, out), src, tagRMAResp)
 	}
 }
 
@@ -217,7 +217,7 @@ func (w *Win) Put(data []byte, target, offset int) *Request {
 		return req
 	}
 	msg := rmaEncode(rmaPut, w.id, offset, 0, Byte, OpSum, data)
-	under := c.isendRetry(msg, target, tagRMA)
+	under := c.isend(msg, target, tagRMA)
 	go func() {
 		under.Wait()
 		req.complete(Status{Bytes: len(data)})
@@ -239,7 +239,7 @@ func (w *Win) Accumulate(data []byte, dt Datatype, op Op, target, offset int) *R
 		return req
 	}
 	msg := rmaEncode(rmaAcc, w.id, offset, 0, dt, op, data)
-	under := c.isendRetry(msg, target, tagRMA)
+	under := c.isend(msg, target, tagRMA)
 	go func() {
 		under.Wait()
 		req.complete(Status{Bytes: len(data)})
@@ -270,7 +270,7 @@ func (w *Win) Get(n, target, offset int) *Request {
 	w.mu.Unlock()
 	var nbuf [4]byte
 	putU32(nbuf[:], uint32(n))
-	c.isendRetry(rmaEncode(rmaGetReq, w.id, offset, seq, Byte, OpSum, nbuf[:]), target, tagRMA)
+	c.isend(rmaEncode(rmaGetReq, w.id, offset, seq, Byte, OpSum, nbuf[:]), target, tagRMA)
 	w.track(req)
 	return req
 }

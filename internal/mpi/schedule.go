@@ -261,10 +261,10 @@ func (s *Schedule) recvAdopt(src, tag int) {
 	s.reqs = append(s.reqs, s.c.irecv(nil, src, tag, true))
 }
 
-// send posts a retransmitting send; one the transport completed on the
-// spot is recycled at once.
+// send posts one of the round's sends; one the transport completed on
+// the spot is recycled at once.
 func (s *Schedule) send(buf []byte, dest, tag int) {
-	r := s.c.isendRetry(buf, dest, tag)
+	r := s.c.isend(buf, dest, tag)
 	if r.isDone() {
 		s.free(r)
 		return
