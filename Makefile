@@ -42,10 +42,15 @@ chaos:
 # early termination was found in — 20 000 short UTS jobs at 2 ranks × 2
 # workers on 4 Ps, each checked against the sequential node count —
 # then the census tests (the deterministic frame-in-hand cases and the
-# 2 × 4-worker soak) 200 times over under the race detector.
+# 2 × 4-worker soak) 200 times over under the race detector, then the
+# trace ring's multi-writer tests 50 times over under the race detector
+# (before the slot claim, a writer lapped on its slot tore the newer
+# writer's event within 200 rounds of TestRingLappedWriterDropsNotTears
+# in most race runs).
 soak:
 	$(GO) test -run '^$$' -bench BenchmarkRealUTSHCMPI -benchtime 20000x -cpu 4 .
 	$(GO) test -race -count=200 -run 'TestCensus' ./internal/distsched/ ./internal/uts/
+	$(GO) test -race -count=50 -run 'TestRing' ./internal/trace/
 
 # Cross-transport conformance: the p2p/collectives/RMA/hcmpi/DDDF
 # corpora over both backends (netsim and the TCP loopback mesh), plus

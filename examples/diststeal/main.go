@@ -30,9 +30,7 @@ func main() {
 	stats := make(map[int]hcmpi.DistStats)
 
 	hcmpi.Run(ranks, workers, func(n *hcmpi.Node, ctx *hcmpi.Ctx) {
-		s := hcmpi.NewDistScheduler(n, hcmpi.DistConfig{
-			Policy: hcmpi.DistLoadGossipPolicy(),
-		})
+		s := hcmpi.NewDistScheduler(n, hcmpi.DistConfig{})
 		// A migratable task: one byte of payload (its depth), spawning
 		// three children. Handlers must be registered identically on
 		// every rank; payloads travel with the task when it is stolen.

@@ -100,17 +100,12 @@ type (
 	// scheduler: register migratable task kinds, submit seeds, and Run
 	// drives every rank to global termination (Safra's algorithm).
 	DistScheduler = distsched.Scheduler
-	// DistConfig parameterizes a DistScheduler (victim policy, steal
-	// batch bound, steal retry timeout).
-	DistConfig = distsched.Config
 	// DistTaskCtx is the execution context handed to migratable task
 	// handlers.
 	DistTaskCtx = distsched.TaskCtx
 	// DistStats is a point-in-time snapshot of one rank's distributed
 	// scheduling counters.
 	DistStats = distsched.Stats
-	// DistPolicy chooses victim ranks for remote steals.
-	DistPolicy = distsched.Policy
 )
 
 // Phaser registration modes and barrier flavours.
@@ -171,20 +166,16 @@ func NewMetrics() *Metrics { return trace.NewMetrics() }
 // NewDistScheduler attaches a distributed work-stealing scheduler to a
 // node. Create it before Node.Main (it installs communication-worker
 // listeners), then call Run from inside the main task on every rank.
-func NewDistScheduler(n *Node, cfg DistConfig) *DistScheduler {
-	return distsched.New(n, cfg)
+func NewDistScheduler(n *Node, _ DistConfig) *DistScheduler {
+	return distsched.New(n)
 }
 
-// Victim-selection policies for DistConfig.Policy.
-var (
-	// DistRandomPolicy picks uniform random victims (the default).
-	DistRandomPolicy = distsched.RandomPolicy
-	// DistRoundRobinPolicy cycles deterministically through the peers.
-	DistRoundRobinPolicy = distsched.RoundRobinPolicy
-	// DistLoadGossipPolicy prefers the peer with the highest load
-	// estimate gossiped on steal traffic.
-	DistLoadGossipPolicy = distsched.LoadGossipPolicy
-)
+// DistConfig is NewDistScheduler's empty parameter block. The scheduler
+// has nothing to configure: victims are picked at random among the live
+// ranks, and the grant cap and steal re-arm time are constants
+// (DESIGN.md §13). The type stays only so that existing callers'
+// DistConfig{} still compiles.
+type DistConfig struct{}
 
 // AsyncPhased spawns a task registered on a phaser (async phased(ph)).
 var AsyncPhased = hcmpi.AsyncPhased

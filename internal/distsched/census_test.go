@@ -1,7 +1,6 @@
 package distsched
 
 import (
-	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -26,12 +25,6 @@ import (
 // before it plants the leaf, and the taken hook parks that driver with
 // the leaf in hand. While it is parked rank 0 must not look quiescent
 // and the barrier must not terminate, however long its peer looks.
-// noVictim is a Policy that never steals.
-type noVictim struct{}
-
-func (noVictim) Pick(int, int, *rand.Rand, func(int) bool) int { return -1 }
-func (noVictim) Observe(int, int)                              {}
-
 func TestCensusFrameInHand(t *testing.T) {
 	for _, sc := range []struct {
 		name string
@@ -54,11 +47,8 @@ func TestCensusFrameInHand(t *testing.T) {
 			w.Run(func(c *mpi.Comm) {
 				n := hcmpi.NewNode(c, hcmpi.Config{Workers: 2})
 				defer n.Close()
-				cfg := Config{}
-				if c.Rank() != 0 {
-					cfg.Policy = noVictim{}
-				}
-				s := New(n, cfg)
+				s := New(n)
+				s.noSteal = c.Rank() != 0
 
 				var (
 					rootWorker atomic.Int32

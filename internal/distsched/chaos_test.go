@@ -38,7 +38,7 @@ func TestDistSchedChaosVictimDeath(t *testing.T) {
 		// Failed collectives need a watchdog or Close would hang on the
 		// shutdown barrier once the victim is gone.
 		n := hcmpi.NewNode(c, hcmpi.Config{Workers: 2, OpTimeout: 2 * time.Second})
-		s := New(n, Config{})
+		s := New(n)
 		s.Register("slow", func(tc *TaskCtx, payload []byte) {
 			id := string(payload) // copies out of the pooled buffer
 			if prev, dup := executed.LoadOrStore(id, tc.Rank()); dup {
@@ -93,7 +93,7 @@ func TestDistSchedChaosGrantToDeadThief(t *testing.T) {
 
 	w.Run(func(c *mpi.Comm) {
 		n := hcmpi.NewNode(c, hcmpi.Config{Workers: 2, OpTimeout: 2 * time.Second})
-		s := New(n, Config{})
+		s := New(n)
 		s.Register("slow", func(tc *TaskCtx, payload []byte) {
 			time.Sleep(200 * time.Microsecond)
 		})

@@ -46,23 +46,17 @@ import (
 // that needs the bytes afterwards must copy them.
 type Handler func(tc *TaskCtx, payload []byte)
 
-// Config parameterizes a Scheduler.
-type Config struct {
-	// Policy selects steal victims; default RandomPolicy.
-	Policy Policy
-	// MaxBatch caps the frames moved by one steal grant; the victim
-	// yields min(MaxBatch, half its queued frames), mirroring the local
-	// deque.StealBatch steal-half rule. Default 16.
-	MaxBatch int
-	// StealTimeout re-arms an unanswered remote steal: after this long
+// Remote-steal constants (DESIGN.md §13).
+const (
+	// maxBatch caps the frames moved by one steal grant: the victim
+	// yields min(maxBatch, half its queued frames), mirroring the local
+	// deque.StealBatch steal-half rule.
+	maxBatch = 16
+	// stealTimeout re-arms an unanswered remote steal: after this long
 	// without a grant or deny the thief probes a fresh victim (the
-	// original reply, if it ever arrives, is still honored). Default
-	// 2ms; negative disables re-arming.
-	StealTimeout time.Duration
-	// Pool stages migrated payloads; default a private pool. Sharing
-	// one pool across schedulers in-process amortizes warm buffers.
-	Pool *bufpool.Pool
-}
+	// original reply, if it ever arrives, is still honored).
+	stealTimeout = 2 * time.Millisecond
+)
 
 // Scheduler is one rank's view of the distributed load-balancing
 // plane. Create with New before Node.Main, register every migratable
@@ -72,7 +66,8 @@ type Config struct {
 // live until the node closes.
 type Scheduler struct {
 	node *hcmpi.Node
-	cfg  Config
+	// pool stages migrated payloads: grants are decoded into it and
+	// exported or abandoned frames return their payloads to it.
 	pool *bufpool.Pool
 
 	kinds     []Handler
@@ -106,6 +101,9 @@ type Scheduler struct {
 	// taken, when a test sets it, is called by a driver holding a frame
 	// it has taken but not yet run — the window the census must cover.
 	taken func(wid int)
+	// noSteal, when a test sets it, keeps this rank from issuing remote
+	// steals.
+	noSteal bool
 }
 
 type pendingSend struct {
@@ -128,23 +126,10 @@ type counters struct {
 // New creates the scheduler for a node and installs its protocol
 // listeners on the communication worker. Call before Node.Main (or
 // from the main task; listener installation is synchronous either way).
-func New(n *hcmpi.Node, cfg Config) *Scheduler {
-	if cfg.Policy == nil {
-		cfg.Policy = RandomPolicy()
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 16
-	}
-	if cfg.StealTimeout == 0 {
-		cfg.StealTimeout = 2 * time.Millisecond
-	}
-	if cfg.Pool == nil {
-		cfg.Pool = bufpool.New()
-	}
+func New(n *hcmpi.Node) *Scheduler {
 	s := &Scheduler{
 		node:      n,
-		cfg:       cfg,
-		pool:      cfg.Pool,
+		pool:      bufpool.New(),
 		kindIndex: map[string]uint16{},
 		incoming:  deque.NewStack[frame](),
 		inject:    deque.NewStack[frame](),
@@ -450,7 +435,7 @@ func (s *Scheduler) stealLocal(wid int, rng *rand.Rand) (*frame, bool) {
 
 // maybeSteal issues (or re-arms) the rank's single outstanding remote
 // steal. One steal in flight per rank matches the paper's UTS port;
-// re-arming after StealTimeout keeps the thief live when a victim's
+// re-arming after stealTimeout keeps the thief live when a victim's
 // reply is slow or lost — a late reply is still honored, and duplicate
 // grants are impossible because frames leave the victim exactly once.
 func (s *Scheduler) maybeSteal(rng *rand.Rand) {
@@ -460,16 +445,17 @@ func (s *Scheduler) maybeSteal(rng *rand.Rand) {
 		s.issueSteal(rng)
 		return
 	}
-	if to := s.cfg.StealTimeout; to > 0 {
-		since := s.stealSince.Load()
-		if now-since > int64(to) && s.stealSince.CompareAndSwap(since, now) {
-			s.issueSteal(rng)
-		}
+	since := s.stealSince.Load()
+	if now-since > int64(stealTimeout) && s.stealSince.CompareAndSwap(since, now) {
+		s.issueSteal(rng)
 	}
 }
 
 func (s *Scheduler) issueSteal(rng *rand.Rand) {
-	v := s.cfg.Policy.Pick(s.node.Rank(), s.node.Size(), rng, s.isAlive)
+	v := -1
+	if !s.noSteal {
+		v = randomVictim(s.node.Rank(), s.node.Size(), rng, s.isAlive)
+	}
 	if v < 0 {
 		s.outstanding.Store(false)
 		return
@@ -625,7 +611,7 @@ func (s *Scheduler) drainAbandoned() {
 // --- listener callbacks (communication worker) ---
 
 // onStealReq answers a remote thief: steal-half of this rank's queued
-// frames (capped at MaxBatch), or a deny. Harvested frames stay counted
+// frames (capped at maxBatch), or a deny. Harvested frames stay counted
 // as outstanding until exported is bumped, and that happens only after
 // the Safra WorkSent — so no token can slip between "frames removed from
 // the deques" and "deficit incremented" and terminate early. Like every
@@ -635,7 +621,6 @@ func (s *Scheduler) drainAbandoned() {
 //hclint:nonblocking
 func (s *Scheduler) onStealReq(src int, _ []byte) {
 	s.ctr.reqRecv.Add(1)
-	s.cfg.Policy.Observe(src, 0) // requester is starving
 	fs, rest := s.harvest()
 	if len(fs) == 0 {
 		s.ctr.deniesOut.Add(1)
@@ -658,7 +643,7 @@ func (s *Scheduler) onStealReq(src int, _ []byte) {
 	s.track(s.node.SendReserved(buf, src, tagStealGrant), src)
 }
 
-// harvest removes up to min(MaxBatch, ceil(total/2)) frames for export:
+// harvest removes up to min(maxBatch, ceil(total/2)) frames for export:
 // local deques first (oldest frames — the biggest subtrees in
 // divide-and-conquer workloads), then parked migrated/seed work.
 // Returns the batch and the load left behind.
@@ -672,8 +657,8 @@ func (s *Scheduler) harvest() ([]*frame, int) {
 		return nil, total
 	}
 	want := (total + 1) / 2
-	if want > s.cfg.MaxBatch {
-		want = s.cfg.MaxBatch
+	if want > maxBatch {
+		want = maxBatch
 	}
 	fs := make([]*frame, 0, want)
 	for _, d := range s.local {
@@ -722,17 +707,15 @@ func (s *Scheduler) onGrant(src int, payload []byte) {
 		s.incoming.Push(f)
 	}
 	s.ctr.grantsIn.Add(1)
-	// The victim granted half: assume it kept at least as much.
-	s.cfg.Policy.Observe(src, len(fs))
 	s.ring.Emit(trace.EvDistMigrate, int64(src), int64(len(fs)))
 	s.outstanding.Store(false)
 }
 
-// onDeny records a refused steal so the victim policy cools off.
+// onDeny records a refused steal and frees the steal slot. The victim's
+// reported load goes onto the trace timeline.
 //
 //hclint:nonblocking
 func (s *Scheduler) onDeny(src int, payload []byte) {
-	s.cfg.Policy.Observe(src, decodeDeny(payload))
 	s.ctr.deniesIn.Add(1)
 	s.ring.Emit(trace.EvDistDeny, int64(src), int64(decodeDeny(payload)))
 	s.outstanding.Store(false)

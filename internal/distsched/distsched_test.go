@@ -41,9 +41,9 @@ func spinWork() {
 // all roots start on rank 0 (maximally imbalanced). spin scales the
 // per-frame CPU cost — higher-latency transports need a longer loaded
 // window for steal requests to land mid-run.
-func runTree(c *mpi.Comm, workers, depth, spin int, cfg Config) (Stats, error) {
+func runTree(c *mpi.Comm, workers, depth, spin int) (Stats, error) {
 	n := hcmpi.NewNode(c, hcmpi.Config{Workers: workers})
-	s := New(n, cfg)
+	s := New(n)
 	s.Register("node", func(tc *TaskCtx, payload []byte) {
 		for i := 0; i < spin; i++ {
 			spinWork()
@@ -83,7 +83,7 @@ func TestDistSchedConformance(t *testing.T) {
 			stats := map[int]Stats{}
 			errs := map[int]error{}
 			b.Run(t, ranks, func(c *mpi.Comm) {
-				st, err := runTree(c, workers, depth, 4, Config{})
+				st, err := runTree(c, workers, depth, 4)
 				mu.Lock()
 				stats[c.Rank()] = st
 				errs[c.Rank()] = err
@@ -117,41 +117,6 @@ func TestDistSchedConformance(t *testing.T) {
 	}
 }
 
-// TestDistSchedPolicies runs the same workload under each victim
-// policy; accounting must stay exact regardless of how victims are
-// chosen.
-func TestDistSchedPolicies(t *testing.T) {
-	const depth, ranks = 6, 3
-	want := treeFrames(depth)
-	for _, pc := range []struct {
-		name string
-		mk   func() Policy
-	}{
-		{"random", RandomPolicy},
-		{"round-robin", RoundRobinPolicy},
-		{"load-gossip", LoadGossipPolicy},
-	} {
-		pc := pc
-		t.Run(pc.name, func(t *testing.T) {
-			var mu sync.Mutex
-			var executed int64
-			w := mpi.NewWorld(ranks)
-			w.Run(func(c *mpi.Comm) {
-				st, err := runTree(c, 2, depth, 1, Config{Policy: pc.mk()})
-				if err != nil {
-					t.Errorf("rank %d: %v", c.Rank(), err)
-				}
-				mu.Lock()
-				executed += st.Executed
-				mu.Unlock()
-			})
-			if executed != want {
-				t.Errorf("executed %d, want %d", executed, want)
-			}
-		})
-	}
-}
-
 // TestDistSchedTerminationStress re-runs the workload many times: an
 // early-firing detector shows up as a short count.
 func TestDistSchedTerminationStress(t *testing.T) {
@@ -162,7 +127,7 @@ func TestDistSchedTerminationStress(t *testing.T) {
 		var executed int64
 		w := mpi.NewWorld(ranks)
 		w.Run(func(c *mpi.Comm) {
-			st, err := runTree(c, 2, depth, 1, Config{})
+			st, err := runTree(c, 2, depth, 1)
 			if err != nil {
 				t.Errorf("iter %d rank %d: %v", iter, c.Rank(), err)
 			}
@@ -183,7 +148,7 @@ func TestDistSchedSingleRank(t *testing.T) {
 	want := treeFrames(depth)
 	w := mpi.NewWorld(1)
 	w.Run(func(c *mpi.Comm) {
-		st, err := runTree(c, 3, depth, 1, Config{})
+		st, err := runTree(c, 3, depth, 1)
 		if err != nil {
 			t.Fatalf("err: %v", err)
 		}
@@ -249,7 +214,7 @@ func TestSpawnExecAllocFree(t *testing.T) {
 	w.Run(func(c *mpi.Comm) {
 		n := hcmpi.NewNode(c, hcmpi.Config{Workers: 1})
 		defer n.Close()
-		s := New(n, Config{})
+		s := New(n)
 		ran := 0
 		s.Register("leaf", func(_ *TaskCtx, payload []byte) { ran += len(payload) })
 		tc := s.newTaskCtx(0)

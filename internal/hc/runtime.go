@@ -73,9 +73,6 @@ type Runtime struct {
 
 	wg sync.WaitGroup
 
-	// hpt, when non-nil, drives locality-aware spawning and stealing.
-	hpt *HPT
-
 	// metrics is the runtime's counter registry (always on — one
 	// uncontended atomic add per event); tracer, when non-nil, records
 	// timeline events onto per-worker rings.
@@ -98,10 +95,6 @@ type worker struct {
 	rt    *Runtime
 	deque *deque.Deque[Task]
 	rng   *rand.Rand
-	// place is the HPT leaf this worker is attached to (nil without an
-	// HPT); victims orders steal targets by place distance.
-	place   *Place
-	victims []int
 	// ring is this worker's trace timeline; nil when tracing is
 	// disabled (the nil check inside Emit is the whole disabled path).
 	ring *trace.Ring
@@ -168,28 +161,10 @@ func New(n int, extraStealSources ...*deque.Deque[Task]) *Runtime {
 // records its timeline onto a per-worker ring registered under process
 // id pid (HCMPI uses the MPI rank). A nil tr costs nothing.
 func NewTraced(n int, tr *trace.Tracer, pid int, extraStealSources ...*deque.Deque[Task]) *Runtime {
-	rt := newRuntime(n, extraStealSources...)
-	rt.attachTracer(tr, pid)
-	rt.start()
-	return rt
-}
-
-// attachTracer wires per-worker trace rings; it must run before any
-// worker starts (workers read w.ring unsynchronized).
-func (rt *Runtime) attachTracer(tr *trace.Tracer, pid int) {
-	rt.tracer = tr
-	for _, w := range rt.workers {
-		w.ring = tr.Register(pid, w.id, fmt.Sprintf("worker %d", w.id), trace.TrackCompute)
-	}
-}
-
-// newRuntime builds the structures without launching workers, so
-// variants (NewWithHPT) can finish wiring before any worker runs.
-func newRuntime(n int, extraStealSources ...*deque.Deque[Task]) *Runtime {
 	if n <= 0 {
 		panic(fmt.Sprintf("hc: worker count %d", n))
 	}
-	rt := &Runtime{inject: deque.NewStack[Task](), helpers: deque.NewStack[worker](), metrics: trace.NewMetrics()}
+	rt := &Runtime{inject: deque.NewStack[Task](), helpers: deque.NewStack[worker](), metrics: trace.NewMetrics(), tracer: tr}
 	rt.steals = rt.metrics.Counter("hc_steals")
 	rt.stealAttempts = rt.metrics.Counter("hc_steal_attempts")
 	rt.stealFails = rt.metrics.Counter("hc_steal_fails")
@@ -203,20 +178,20 @@ func newRuntime(n int, extraStealSources ...*deque.Deque[Task]) *Runtime {
 	for i := 0; i < n; i++ {
 		w := &worker{id: i, rt: rt, deque: deque.NewDeque[Task](),
 			rng:    rand.New(rand.NewSource(int64(i)*2654435761 + 1)),
+			ring:   tr.Register(pid, i, fmt.Sprintf("worker %d", i), trace.TrackCompute),
 			frames: deque.NewFreeList[Task](frameListCap)}
 		w.idleCtx.w = w
 		rt.workers = append(rt.workers, w)
 		rt.stealSet = append(rt.stealSet, w.deque)
 	}
 	rt.stealSet = append(rt.stealSet, extraStealSources...)
-	return rt
-}
-
-func (rt *Runtime) start() {
+	// Workers read their rings and the steal set unsynchronized, so both
+	// are complete before the first one starts.
 	for _, w := range rt.workers {
 		rt.wg.Add(1)
 		go w.loop()
 	}
+	return rt
 }
 
 // NumWorkers returns the pool size.
@@ -363,16 +338,11 @@ func (w *worker) recycle(t *Task) {
 	w.frames.Put(t)
 }
 
-// next finds runnable work for w: own deque, own place path, injected
-// tasks, then steals.
+// next finds runnable work for w: own deque, injected tasks, then
+// steals.
 func (w *worker) next() (*Task, bool) {
 	if t, ok := w.deque.Pop(); ok {
 		return t, true
-	}
-	if w.place != nil {
-		if t, ok := w.placeNext(); ok {
-			return t, true
-		}
 	}
 	if t, ok := w.rt.inject.Pop(); ok {
 		return t, true
@@ -380,41 +350,14 @@ func (w *worker) next() (*Task, bool) {
 	return w.stealOnce()
 }
 
-// stealOnce makes one sweep over the other deques: in HPT mode ordered
-// by place distance, otherwise from a random start. Worker deques and
-// external sources are drained with StealBatch — one visit moves up to
-// half the victim's tasks into w's own deque, so repeated sweeps are
-// amortized (steal-half batching).
+// stealOnce makes one sweep over the other deques from a random start.
+// Worker deques and external sources are drained with StealBatch — one
+// visit moves up to half the victim's tasks into w's own deque, so
+// repeated sweeps are amortized (steal-half batching).
 func (w *worker) stealOnce() (*Task, bool) {
 	rt := w.rt
 	rt.stealAttempts.Add(1)
 	w.ring.Emit(trace.EvStealAttempt, 0, 0)
-	if w.victims != nil {
-		for _, v := range w.victims {
-			if t, moved, ok := rt.workers[v].deque.StealBatch(w.deque); ok {
-				w.stole(v, moved)
-				return t, true
-			}
-		}
-		// Foreign place queues (covers leaves with no attached worker)
-		// and external steal sources.
-		if rt.hpt != nil {
-			for _, p := range rt.hpt.places {
-				if t, ok := p.queue.Pop(); ok {
-					w.stole(-1, 1)
-					return t, true
-				}
-			}
-		}
-		for _, d := range rt.stealSet[len(rt.workers):] {
-			if t, moved, ok := d.StealBatch(w.deque); ok {
-				w.stole(-1, moved)
-				return t, true
-			}
-		}
-		w.stealMissed()
-		return nil, false
-	}
 	n := len(rt.stealSet)
 	if n <= 1 {
 		w.stealMissed()
@@ -587,10 +530,9 @@ func (c *Ctx) AsyncBlocking(fn func(*Ctx)) {
 	}()
 }
 
-// AsyncAt spawns fn preferring execution on worker wid. The current
-// implementation is a single-level Hierarchical Place Tree (the paper's
-// default configuration): the hint only selects the submission path;
-// stealing may still move the task.
+// AsyncAt spawns fn preferring execution on worker wid. The pool is the
+// paper's single-level place tree: the hint only selects the submission
+// path; stealing may still move the task.
 func (c *Ctx) AsyncAt(wid int, fn func(*Ctx)) {
 	f := c.finish
 	if f != nil {

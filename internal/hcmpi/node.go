@@ -216,14 +216,6 @@ func (r *Request) GetStatus() (*Status, error) {
 type Config struct {
 	// Workers is the number of computation workers (the paper's -nproc).
 	Workers int
-	// PollSleep caps the dedicated communication worker's idle sleep.
-	// After a spin and yield phase, an idle worker sleeps exponentially
-	// longer per empty sweep — 1µs, 2µs, 4µs, … — up to this value, and
-	// never past the earliest pending deadline it saw on its last sweep.
-	// It bounds reaction time only while every computation worker is
-	// busy: idle and waiting computation workers drive the same sweep
-	// themselves, without sleeping. Default 20µs.
-	PollSleep time.Duration
 	// OpTimeout bounds every communication operation (point-to-point,
 	// one-sided, and collective): an operation not complete within the
 	// window fails with mpi.ErrTimeout in its Status instead of blocking
@@ -243,6 +235,9 @@ type Node struct {
 	comm *mpi.Comm
 	rt   *hc.Runtime
 	cfg  Config
+	// sleepCap caps the dedicated worker's idle sleep: pollSleep, except
+	// in tests that need the worker to oversleep (newNode).
+	sleepCap time.Duration
 
 	worklist  *deque.MPSC[commTask]
 	freelist  *deque.Stack[commTask]
@@ -325,16 +320,18 @@ type StatsSnapshot struct {
 
 // NewNode starts an HCMPI process over MPI rank c with cfg.Workers
 // computation workers and one communication worker.
-func NewNode(c *mpi.Comm, cfg Config) *Node {
+func NewNode(c *mpi.Comm, cfg Config) *Node { return newNode(c, cfg, pollSleep) }
+
+// newNode is NewNode with the dedicated worker's sleep cap as a
+// parameter, fixed before that worker starts.
+func newNode(c *mpi.Comm, cfg Config, sleepCap time.Duration) *Node {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
-	}
-	if cfg.PollSleep == 0 {
-		cfg.PollSleep = 20 * time.Microsecond
 	}
 	n := &Node{
 		comm:      c,
 		cfg:       cfg,
+		sleepCap:  sleepCap,
 		worklist:  deque.NewMPSC[commTask](),
 		freelist:  deque.NewStack[commTask](),
 		commDeque: deque.NewDeque[hc.Task](),

@@ -54,6 +54,11 @@ const (
 	// yielding, before it sleeps.
 	idleSpinSweeps  = 32
 	idleYieldSweeps = 64
+	// pollSleep caps the dedicated worker's idle sleep. It bounds
+	// reaction time only while every computation worker is busy: idle
+	// and waiting computation workers drive the same sweep themselves,
+	// without sleeping.
+	pollSleep = 20 * time.Microsecond
 )
 
 // sweepClock reads the wall clock at most once per sweep, and only if
@@ -179,10 +184,10 @@ func (n *Node) idleSweep(ctx *hc.Ctx) bool {
 // commWorker is the dedicated communication worker: the paper's Fig. 11
 // worker, reduced to the guarantor of progress. It sweeps whenever the
 // engine is free and otherwise walks an idle ladder — spin, yield, then
-// sleeps doubling up to cfg.PollSleep. A sweep somebody else is driving
-// is not this worker's progress: losing the try-lock moves it down the
-// ladder like an empty sweep does, so that computation workers polling
-// for their own completions are not fought for the lock and the
+// sleeps doubling up to n.sleepCap (pollSleep). A sweep somebody else
+// is driving is not this worker's progress: losing the try-lock moves it
+// down the ladder like an empty sweep does, so that computation workers
+// polling for their own completions are not fought for the lock and the
 // processor by a goroutine that has nothing to add.
 func (n *Node) commWorker() {
 	defer close(n.stopped)
@@ -230,8 +235,8 @@ func (n *Node) drained() bool {
 }
 
 // idleSleep parks the idle dedicated worker. The sleep doubles from 1µs
-// per idle round up to cfg.PollSleep (so a briefly quiet worker reacts
-// in microseconds while a long-idle one settles at the configured cap),
+// per idle round up to n.sleepCap (so a briefly quiet worker reacts in
+// microseconds while a long-idle one settles at the cap),
 // and is additionally clipped to nextEvent when scheduled — the time
 // until the earliest deadline the worker's last sweep saw — so
 // adaptivity never delays a timeout.
@@ -240,8 +245,8 @@ func (n *Node) idleSleep(rounds int, nextEvent time.Duration, scheduled bool) {
 		rounds = 16
 	}
 	d := time.Microsecond << rounds
-	if d > n.cfg.PollSleep || d <= 0 {
-		d = n.cfg.PollSleep
+	if d > n.sleepCap || d <= 0 {
+		d = n.sleepCap
 	}
 	if scheduled && nextEvent < d {
 		if nextEvent <= 0 {

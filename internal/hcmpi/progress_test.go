@@ -144,7 +144,7 @@ func TestCloseAfterStolenSweeps(t *testing.T) {
 		w := mpi.NewWorld(2)
 		done := make(chan StatsSnapshot, 2)
 		go w.Run(func(c *mpi.Comm) {
-			n := NewNode(c, Config{Workers: 2, PollSleep: 20 * time.Millisecond})
+			n := newNode(c, Config{Workers: 2}, 20*time.Millisecond)
 			n.Main(func(ctx *hc.Ctx) {
 				buf := make([]byte, 1)
 				if n.Rank() == 0 {

@@ -15,11 +15,12 @@
 // Ring slots are written through atomics with a per-slot sequence
 // number (a single-producer ring hardened for the few multi-writer
 // tracks, e.g. the MPI endpoint track written by application and
-// delivery goroutines). A writer that laps another mid-write can tear
-// an event; the sequence check makes Snapshot discard such slots
-// instead of reporting garbage. This is the standard tracing trade:
-// bounded memory and a wait-free hot path, at the cost of possibly
-// losing events under extreme pressure.
+// delivery goroutines). A writer claims its slot with a CAS on the
+// sequence number before it stores anything; a writer that finds the
+// slot claimed or already committed by a newer one gives its event up,
+// so two writers a lap apart never mix their fields. This is the
+// standard tracing trade: bounded memory and a wait-free hot path, at
+// the cost of possibly losing events under extreme pressure.
 package trace
 
 import (
@@ -305,7 +306,8 @@ func (t *Tracer) Snapshot() []TrackEvents {
 
 // slot is one ring cell. All fields are atomics so concurrent writers
 // (and a concurrent Snapshot) are data-race free; seq holds ticket+1
-// once the event is fully committed.
+// once the event is fully committed, and claimed while a writer owns
+// the slot.
 type slot struct {
 	seq  atomic.Uint64
 	ts   atomic.Int64
@@ -321,9 +323,22 @@ type Ring struct {
 	mask  uint64
 	slots []slot
 	pos   atomic.Uint64
+	// lost counts events given up by a writer whose slot an older
+	// writer still held (Emit).
+	lost atomic.Int64
 }
 
+// claimed marks a slot a writer owns. It exceeds every ticket, so no
+// commit (ticket+1) can equal it, and a writer comparing it with its
+// own ticket sees a slot it must not touch.
+const claimed = ^uint64(0)
+
 // Emit records one event. Nil-safe; never blocks; never allocates.
+//
+// The slot is claimed with a CAS from the sequence number the writer
+// loaded. A writer that finds it claimed, or committed by a newer
+// ticket, or loses the CAS, drops its event: storing its fields after a
+// newer writer's commit would tear that event.
 //
 //hclint:hotpath
 func (r *Ring) Emit(kind EventKind, a, b int64) {
@@ -333,7 +348,13 @@ func (r *Ring) Emit(kind EventKind, a, b int64) {
 	ts := r.tr.now()
 	i := r.pos.Add(1) - 1
 	s := &r.slots[i&r.mask]
-	s.seq.Store(0) // mark in-progress so a concurrent Snapshot skips it
+	if old := s.seq.Load(); old > i || !s.seq.CompareAndSwap(old, claimed) {
+		// A ticket a full lap behind pos is already counted as overflow.
+		if r.pos.Load() <= i+uint64(len(r.slots)) {
+			r.lost.Add(1)
+		}
+		return
+	}
 	s.ts.Store(ts)
 	s.kind.Store(int32(kind))
 	s.a.Store(a)
@@ -341,16 +362,21 @@ func (r *Ring) Emit(kind EventKind, a, b int64) {
 	s.seq.Store(i + 1)
 }
 
-// Dropped returns how many events were overwritten by overflow.
+// Dropped returns how many events the ring does not hold: those
+// overwritten by overflow plus those lapped writers gave up. A given-up
+// event still inside the window when it was dropped is counted again
+// once overflow passes its ticket, so under lapping this is an upper
+// bound.
 func (r *Ring) Dropped() int64 {
 	if r == nil {
 		return 0
 	}
+	lost := r.lost.Load()
 	pos := r.pos.Load()
 	if n := uint64(len(r.slots)); pos > n {
-		return int64(pos - n)
+		return int64(pos-n) + lost
 	}
-	return 0
+	return lost
 }
 
 // Len returns the number of events currently held.
@@ -367,8 +393,8 @@ func (r *Ring) Len() int {
 
 // Snapshot copies out the surviving events, oldest first, sorted by
 // timestamp (multi-writer tracks can commit slightly out of ticket
-// order). Torn slots — lapped mid-write — fail their sequence check
-// and are skipped.
+// order). Slots claimed mid-write, or rewritten between the two reads,
+// fail their sequence check and are skipped.
 func (r *Ring) Snapshot() []Event {
 	if r == nil {
 		return nil

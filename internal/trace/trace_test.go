@@ -221,3 +221,65 @@ func TestSnapshotSortedByTrack(t *testing.T) {
 		}
 	}
 }
+
+// TestRingLappedWriterDropsNotTears shares each slot of a two-slot ring
+// among eight writers, so writers a lap apart meet on a slot all the
+// time. A writer that a newer one has lapped must give its event up, not
+// store its fields over an event the newer writer has committed: a
+// concurrent Snapshot may never see A != B. What the ring does not hold
+// is counted as dropped.
+func TestRingLappedWriterDropsNotTears(t *testing.T) {
+	const writers, perWriter, rounds = 8, 2000, 200
+	for round := 0; round < rounds; round++ {
+		tr := New(Config{RingSize: 2})
+		r := tr.Register(0, 0, "shared", TrackMPI)
+		stop := make(chan struct{})
+		torn := make(chan Event, 1)
+		var reader sync.WaitGroup
+		reader.Add(1)
+		go func() {
+			defer reader.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, e := range r.Snapshot() {
+					if e.A != e.B {
+						torn <- e
+						return
+					}
+				}
+			}
+		}()
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < perWriter; i++ {
+					v := int64(w*perWriter + i)
+					r.Emit(EvSendPost, v, v)
+				}
+			}(w)
+		}
+		wg.Wait()
+		close(stop)
+		reader.Wait()
+		select {
+		case e := <-torn:
+			t.Fatalf("round %d: torn event surfaced: A=%d B=%d", round, e.A, e.B)
+		default:
+		}
+		final := r.Snapshot()
+		for _, e := range final {
+			if e.A != e.B {
+				t.Fatalf("round %d: torn event in final snapshot: A=%d B=%d", round, e.A, e.B)
+			}
+		}
+		if held, emitted := int64(len(final)), int64(writers*perWriter); r.Dropped() < emitted-held {
+			t.Fatalf("round %d: %d events emitted, %d held, only %d counted dropped", round, emitted, held, r.Dropped())
+		}
+	}
+}

@@ -29,7 +29,7 @@ import (
 // aggregated counters. All ranks must call it (SPMD). It owns the
 // node's main task; inside an existing Node.Main use RunHCMPIIn.
 func RunHCMPI(n *hcmpi.Node, cfg Config, p Params) Counters {
-	s := distsched.New(n, distsched.Config{})
+	s := distsched.New(n)
 	var (
 		ctr Counters
 		err error
@@ -51,7 +51,7 @@ func RunHCMPI(n *hcmpi.Node, cfg Config, p Params) Counters {
 // error instead of panicking, so survivors of a rank failure can report
 // mpi.ErrRankFailed.
 func RunHCMPIIn(n *hcmpi.Node, ctx *hc.Ctx, cfg Config, p Params) (Counters, error) {
-	return runHCMPIOn(distsched.New(n, distsched.Config{}), ctx, cfg, p)
+	return runHCMPIOn(distsched.New(n), ctx, cfg, p)
 }
 
 // hcmpiWorker is one driver's UTS state. Frames on one worker run one

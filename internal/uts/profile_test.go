@@ -27,7 +27,7 @@ func TestSpillAllocFree(t *testing.T) {
 		measure := func(cfg Config) (allocs float64, spawned int64) {
 			allocs = testing.AllocsPerRun(5, func() {
 				n := hcmpi.NewNode(c, hcmpi.Config{Workers: 1})
-				s := distsched.New(n, distsched.Config{})
+				s := distsched.New(n)
 				n.Main(func(ctx *hc.Ctx) {
 					if _, err := runHCMPIOn(s, ctx, cfg, DefaultParams); err != nil {
 						t.Errorf("run: %v", err)
