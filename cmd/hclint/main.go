@@ -6,32 +6,21 @@
 //
 // Usage:
 //
-//	hclint [-tags tag1,tag2] [-checks name1,name2] [-stats] [-sarif out.sarif] [-audit-allow] [dir]
-//	hclint -want [-checks name1,name2] fixture-dir
-//	hclint -validate-sarif file.sarif
+//	hclint [-tags tag1,tag2] [-stats] [-audit-allow] [dir]
+//	hclint -list
 //
 // dir (default ".") may be the module root, any directory inside the
 // module, or a "./..." pattern — the whole module is always linted.
 // -stats prints per-analyzer finding counts and wall time to stderr.
-// -sarif additionally writes the run as a SARIF 2.1.0 log (findings
-// plus every //hclint:allow suppression with its justification) for
-// CI upload; the emitted file is self-validated before the driver
-// exits. -audit-allow fails the run when an //hclint:allow comment
-// suppressed nothing — stale waivers are deleted, not accumulated.
-// -validate-sarif structurally checks an existing SARIF file against
-// the 2.1.0 schema subset hclint emits and exits.
-// -want flips the driver into fixture mode: the directory is loaded as
-// a single package and the findings are cross-checked against its
-// `// want:` line markers, in both directions — CI runs the analyzer
-// fixtures through this mode so the suite is exercised by the installed
-// binary, not only by `go test`.
-// Exit codes: 0 clean, 1 findings (or marker mismatches, or stale
-// allows), 2 load or usage error.
+// -audit-allow fails the run when an //hclint:allow comment suppressed
+// nothing — stale waivers are deleted, not accumulated.
+// -list prints the nine analyzers and exits.
+// Exit codes: 0 clean, 1 findings (or stale allows), 2 load or usage
+// error.
 //
-// The analyzers and the invariants they defend are catalogued in
-// DESIGN.md §10 (intra-procedural), §14 (the call-graph-based suite),
-// and §15 (the CFG/dataflow-based protocol analyzers). Run the
-// debug-assertion complement with `make tier1-debug`.
+// The analyzers, the invariants they defend and the record each is
+// kept on are catalogued in DESIGN.md §10. Run the debug-assertion
+// complement with `make tier1-debug`.
 package main
 
 import (
@@ -47,17 +36,12 @@ import (
 
 func main() {
 	tags := flag.String("tags", "", "comma-separated build tags (e.g. hcmpi_debug)")
-	checks := flag.String("checks", "", "comma-separated analyzer names (default: all)")
 	list := flag.Bool("list", false, "list available analyzers and exit")
 	stats := flag.Bool("stats", false, "print per-analyzer finding counts and timings to stderr")
-	want := flag.Bool("want", false, "fixture mode: verify findings against the directory's // want: markers")
-	sarifOut := flag.String("sarif", "", "write the run as a SARIF 2.1.0 log to this path")
 	auditAllow := flag.Bool("audit-allow", false, "fail when an //hclint:allow comment suppresses nothing")
-	validateSarif := flag.String("validate-sarif", "", "validate an existing SARIF file and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: hclint [-tags t1,t2] [-checks c1,c2] [-stats] [-sarif out.sarif] [-audit-allow] [dir]\n"+
-			"       hclint -want [-checks c1,c2] fixture-dir\n"+
-			"       hclint -validate-sarif file.sarif\n\nanalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: hclint [-tags t1,t2] [-stats] [-audit-allow] [dir]\n"+
+			"       hclint -list\n\nanalyzers:\n")
 		for _, a := range lint.All() {
 			fmt.Fprintf(os.Stderr, "  %-15s %s\n", a.Name, a.Doc)
 		}
@@ -71,19 +55,6 @@ func main() {
 		return
 	}
 
-	if *validateSarif != "" {
-		data, err := os.ReadFile(*validateSarif)
-		if err != nil {
-			fatal(err)
-		}
-		if err := lint.ValidateSARIF(data); err != nil {
-			fmt.Fprintln(os.Stderr, "hclint:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("hclint: %s is valid SARIF %s\n", *validateSarif, "2.1.0")
-		return
-	}
-
 	dir := "."
 	if flag.NArg() > 0 {
 		dir = strings.TrimSuffix(flag.Arg(0), "...")
@@ -94,22 +65,9 @@ func main() {
 		}
 	}
 
-	var err error
-	suite := lint.All()
-	if *checks != "" {
-		suite, err = lint.ByName(strings.Split(*checks, ","))
-		if err != nil {
-			fatal(err)
-		}
-	}
 	var tagList []string
 	if *tags != "" {
 		tagList = strings.Split(*tags, ",")
-	}
-
-	if *want {
-		runWantMode(dir, suite, tagList)
-		return
 	}
 
 	root, err := findModuleRoot(dir)
@@ -130,16 +88,10 @@ func main() {
 		}
 	}
 
-	res := lint.RunAllResult(pkgs, suite)
+	res := lint.RunAllResult(pkgs, lint.All())
 	cwd, _ := os.Getwd()
 	for _, f := range res.Findings {
-		name := f.Pos.Filename
-		if cwd != "" {
-			if rel, err := filepath.Rel(cwd, name); err == nil && !strings.HasPrefix(rel, "..") {
-				name = rel
-			}
-		}
-		fmt.Printf("%s:%d: [%s] %s\n", name, f.Pos.Line, f.Check, f.Msg)
+		printFinding(cwd, f)
 	}
 	if *stats {
 		printStats(res.Stats)
@@ -149,19 +101,7 @@ func main() {
 	if *auditAllow {
 		stale = lint.AuditAllows(pkgs)
 		for _, f := range stale {
-			name := f.Pos.Filename
-			if cwd != "" {
-				if rel, err := filepath.Rel(cwd, name); err == nil && !strings.HasPrefix(rel, "..") {
-					name = rel
-				}
-			}
-			fmt.Printf("%s:%d: [%s] %s\n", name, f.Pos.Line, f.Check, f.Msg)
-		}
-	}
-
-	if *sarifOut != "" {
-		if err := writeSARIFFile(*sarifOut, root, suite, res); err != nil {
-			fatal(err)
+			printFinding(cwd, f)
 		}
 	}
 
@@ -171,52 +111,16 @@ func main() {
 	}
 }
 
-// writeSARIFFile renders the run as SARIF and re-validates the emitted
-// bytes, so a writer regression can never ship a broken artifact.
-func writeSARIFFile(path, root string, suite []*lint.Analyzer, res lint.Result) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+// printFinding prints f with its filename relative to cwd when the file
+// lies under it.
+func printFinding(cwd string, f lint.Finding) {
+	name := f.Pos.Filename
+	if cwd != "" {
+		if rel, err := filepath.Rel(cwd, name); err == nil && !strings.HasPrefix(rel, "..") {
+			name = rel
+		}
 	}
-	if err := lint.WriteSARIF(f, root, suite, res); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if err := lint.ValidateSARIF(data); err != nil {
-		return fmt.Errorf("emitted %s failed self-validation: %w", path, err)
-	}
-	return nil
-}
-
-// runWantMode loads dir as one fixture package and verifies the suite's
-// findings match its // want: markers exactly.
-func runWantMode(dir string, suite []*lint.Analyzer, tags []string) {
-	pkg, err := lint.LoadPackageDir(dir, tags...)
-	if err != nil {
-		fatal(err)
-	}
-	for _, e := range pkg.Errors {
-		fatal(fmt.Errorf("type error in %s: %v", dir, e))
-	}
-	mismatches, err := lint.WantMismatches(dir, lint.RunAll([]*lint.Package{pkg}, suite))
-	if err != nil {
-		fatal(err)
-	}
-	for _, m := range mismatches {
-		fmt.Printf("%s%c%s\n", dir, filepath.Separator, m)
-	}
-	if len(mismatches) > 0 {
-		fmt.Fprintf(os.Stderr, "hclint: %d want-marker mismatch(es) in %s\n", len(mismatches), dir)
-		os.Exit(1)
-	}
-	fmt.Printf("hclint: %s ok (markers match)\n", dir)
+	fmt.Printf("%s:%d: [%s] %s\n", name, f.Pos.Line, f.Check, f.Msg)
 }
 
 // printStats renders the per-analyzer accounting table. The first

@@ -71,7 +71,7 @@ func demo(n *hcmpi.Node, ctx *hcmpi.Ctx) {
 	// Ring exchange.
 	next, prev := (me+1)%p, (me+p-1)%p
 	req := n.IrecvBytes(prev, 1)
-	n.Isend([]byte(fmt.Sprintf("hello from pid %d rank %d", os.Getpid(), me)), next, 1) //hclint:allow fire-and-forget control message: the eager transport copies at post and completes autonomously
+	n.Isend([]byte(fmt.Sprintf("hello from pid %d rank %d", os.Getpid(), me)), next, 1)
 	st := n.Wait(ctx, req)
 	fmt.Printf("rank %d (pid %d) received: %q\n", me, os.Getpid(), st.Payload)
 
@@ -85,7 +85,7 @@ func demo(n *hcmpi.Node, ctx *hcmpi.Ctx) {
 	buf := make([]byte, p)
 	win := n.WinCreate(ctx, buf)
 	for t := 0; t < p; t++ {
-		win.Put([]byte{byte(me + 1)}, t, me) //hclint:allow RMA requests are epoch-completed by Win.Fence, not per-request Wait
+		win.Put([]byte{byte(me + 1)}, t, me)
 	}
 	win.Fence(ctx)
 	for r := 0; r < p; r++ {

@@ -44,7 +44,7 @@ func main() {
 					defer wg.Done()
 					if c.Rank() == 0 {
 						for i := 0; i < *msgs; i++ {
-							c.Isend([]byte{1}, 1, t) //hclint:allow fire-and-forget control message: the eager transport copies at post and completes autonomously
+							c.Isend([]byte{1}, 1, t)
 						}
 					} else {
 						buf := make([]byte, 1)
@@ -76,7 +76,7 @@ func main() {
 						ctx.Async(func(ctx *hc.Ctx) {
 							if n.Rank() == 0 {
 								for i := 0; i < *msgs; i++ {
-									n.Isend([]byte{1}, 1, t) //hclint:allow fire-and-forget control message: the eager transport copies at post and completes autonomously
+									n.Isend([]byte{1}, 1, t)
 								}
 							} else {
 								buf := make([]byte, 1)

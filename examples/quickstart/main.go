@@ -29,7 +29,7 @@ func main() {
 		// --- point-to-point with await (paper Fig 3-5) ---
 		switch n.Rank() {
 		case 0:
-			n.Isend([]byte("hello from rank 0"), 1, 42) //hclint:allow fire-and-forget control message: the eager transport copies at post and completes autonomously
+			n.Isend([]byte("hello from rank 0"), 1, 42)
 		case 1:
 			buf := make([]byte, 32)
 			ctx.Finish(func(ctx *hcmpi.Ctx) {

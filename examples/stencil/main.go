@@ -43,10 +43,10 @@ func main() {
 		for s := 0; s < steps; s++ {
 			// Publish boundary cells into the neighbours' halos.
 			if left >= 0 {
-				win.Put(f64bytes(grid[1]), left, 8) //hclint:allow their right halo: RMA requests are epoch-completed by Win.Fence, not per-request Wait
+				win.Put(f64bytes(grid[1]), left, 8)
 			}
 			if right < ranks {
-				win.Put(f64bytes(grid[cells]), right, 0) //hclint:allow their left halo: RMA requests are epoch-completed by Win.Fence, not per-request Wait
+				win.Put(f64bytes(grid[cells]), right, 0)
 			}
 			win.Fence(ctx) // all puts of this step visible
 			grid[0] = f64from(halo[0:8])

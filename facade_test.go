@@ -33,7 +33,7 @@ func TestFacadeAwaitOnRequest(t *testing.T) {
 	var ok atomic.Bool
 	hcmpi.Run(2, 2, func(n *hcmpi.Node, ctx *hcmpi.Ctx) {
 		if n.Rank() == 0 {
-			n.Isend([]byte("x"), 1, 0) //hclint:allow fire-and-forget send: the eager transport copies at post; teardown reaps it
+			n.Isend([]byte("x"), 1, 0)
 			return
 		}
 		buf := make([]byte, 1)
@@ -120,7 +120,7 @@ func TestFacadeRMA(t *testing.T) {
 	hcmpi.Run(2, 1, func(n *hcmpi.Node, ctx *hcmpi.Ctx) {
 		buf := make([]byte, 2)
 		win := n.WinCreate(ctx, buf)
-		win.Put([]byte{byte(n.Rank() + 1)}, 1-n.Rank(), 0) //hclint:allow RMA requests are epoch-completed by Win.Fence, not per-request Wait
+		win.Put([]byte{byte(n.Rank() + 1)}, 1-n.Rank(), 0)
 		win.Fence(ctx)
 		if buf[0] != byte(2-n.Rank()) {
 			t.Errorf("rank %d buf %v", n.Rank(), buf)

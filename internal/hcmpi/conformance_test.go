@@ -66,7 +66,7 @@ func confNodeSendRecv(t *testing.T, n *Node, ctx *hc.Ctx) {
 func confNodeAsyncAwait(t *testing.T, n *Node, ctx *hc.Ctx) {
 	switch n.Rank() {
 	case 0:
-		n.Isend([]byte("data"), 1, 3) //hclint:allow fire-and-forget send: the eager transport copies at post; teardown reaps it
+		n.Isend([]byte("data"), 1, 3)
 	case 1:
 		buf := make([]byte, 4)
 		var got atomic.Value
@@ -146,7 +146,7 @@ func confNodeRMA(t *testing.T, n *Node, ctx *hc.Ctx) {
 	buf := make([]byte, n.Size())
 	win := n.WinCreate(ctx, buf)
 	for target := 0; target < n.Size(); target++ {
-		win.Put([]byte{byte(n.Rank() + 1)}, target, n.Rank()) //hclint:allow RMA requests are epoch-completed by Win.Fence, not per-request Wait
+		win.Put([]byte{byte(n.Rank() + 1)}, target, n.Rank())
 	}
 	win.Fence(ctx)
 	for r := 0; r < n.Size(); r++ {

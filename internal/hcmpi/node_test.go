@@ -48,7 +48,7 @@ func TestFinishAroundIrecv(t *testing.T) {
 	runNodes(t, 2, 2, func(n *Node, ctx *hc.Ctx) {
 		switch n.Rank() {
 		case 0:
-			n.Isend([]byte{42}, 1, 0) //hclint:allow fire-and-forget send: the eager transport copies at post; teardown reaps it
+			n.Isend([]byte{42}, 1, 0)
 		case 1:
 			buf := make([]byte, 1)
 			var asyncRan atomic.Bool
@@ -71,7 +71,7 @@ func TestAwaitModel(t *testing.T) {
 	runNodes(t, 2, 2, func(n *Node, ctx *hc.Ctx) {
 		switch n.Rank() {
 		case 0:
-			n.Isend([]byte("data"), 1, 3) //hclint:allow fire-and-forget send: the eager transport copies at post; teardown reaps it
+			n.Isend([]byte("data"), 1, 3)
 		case 1:
 			buf := make([]byte, 4)
 			done := make(chan string, 1)
@@ -93,7 +93,7 @@ func TestWaitAndStatusModel(t *testing.T) {
 	runNodes(t, 2, 2, func(n *Node, ctx *hc.Ctx) {
 		switch n.Rank() {
 		case 0:
-			n.Isend(mpi.EncodeInt64s([]int64{1, 2, 3, 4}), 1, 0) //hclint:allow fire-and-forget send: the eager transport copies at post; teardown reaps it
+			n.Isend(mpi.EncodeInt64s([]int64{1, 2, 3, 4}), 1, 0)
 		case 1:
 			buf := make([]byte, 64)
 			req := n.Irecv(buf, 0, 0)
@@ -114,7 +114,7 @@ func TestGetStatusBeforeCompletionIsError(t *testing.T) {
 	runNodes(t, 2, 1, func(n *Node, ctx *hc.Ctx) {
 		if n.Rank() != 1 {
 			n.Barrier(ctx)
-			n.Isend([]byte{1}, 1, 0) //hclint:allow fire-and-forget send: the eager transport copies at post; teardown reaps it
+			n.Isend([]byte{1}, 1, 0)
 			return
 		}
 		buf := make([]byte, 1)
@@ -133,7 +133,7 @@ func TestWaitAllAndWaitAny(t *testing.T) {
 		switch n.Rank() {
 		case 0:
 			for i := 0; i < k; i++ {
-				n.Isend([]byte{byte(i)}, 1, i) //hclint:allow fire-and-forget send: the eager transport copies at post; teardown reaps it
+				n.Isend([]byte{byte(i)}, 1, i)
 			}
 		case 1:
 			bufs := make([][]byte, k)
@@ -316,7 +316,7 @@ func TestOverlapComputationWithCommunication(t *testing.T) {
 	runNodesNet(t, 2, 2, netsim.Params{InterLatency: 3 * time.Millisecond}, func(n *Node, ctx *hc.Ctx) {
 		switch n.Rank() {
 		case 0:
-			n.Isend([]byte{1}, 1, 0) //hclint:allow fire-and-forget send: the eager transport copies at post; teardown reaps it
+			n.Isend([]byte{1}, 1, 0)
 		case 1:
 			buf := make([]byte, 1)
 			var computed atomic.Int64
@@ -364,7 +364,7 @@ func TestManyNodesManyWorkers(t *testing.T) {
 		prev := (n.Rank() - 1 + ranks) % ranks
 		buf := make([]byte, 8)
 		req := n.Irecv(buf, prev, 0)
-		n.Isend(mpi.EncodeInt64(int64(n.Rank())), next, 0) //hclint:allow fire-and-forget send: the eager transport copies at post; teardown reaps it
+		n.Isend(mpi.EncodeInt64(int64(n.Rank())), next, 0)
 		n.Wait(ctx, req)
 		if mpi.DecodeInt64(buf) != int64(prev) {
 			t.Errorf("rank %d got %d want %d", n.Rank(), mpi.DecodeInt64(buf), prev)

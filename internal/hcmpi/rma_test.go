@@ -15,7 +15,7 @@ func TestHCMPIWinPutFence(t *testing.T) {
 		buf := make([]byte, ranks)
 		win := n.WinCreate(ctx, buf)
 		for target := 0; target < ranks; target++ {
-			win.Put([]byte{byte(n.Rank() + 1)}, target, n.Rank()) //hclint:allow RMA requests are epoch-completed by Win.Fence, not per-request Wait
+			win.Put([]byte{byte(n.Rank() + 1)}, target, n.Rank())
 		}
 		win.Fence(ctx)
 		for r := 0; r < ranks; r++ {
@@ -53,7 +53,7 @@ func TestHCMPIAccumulateIntoWindow(t *testing.T) {
 	runNodes(t, ranks, 1, func(n *Node, ctx *hc.Ctx) {
 		buf := make([]byte, 8)
 		win := n.WinCreate(ctx, buf)
-		win.Accumulate(mpi.EncodeInt64(int64(n.Rank()+1)), mpi.Int64, mpi.OpSum, 0, 0) //hclint:allow RMA requests are epoch-completed by Win.Fence, not per-request Wait
+		win.Accumulate(mpi.EncodeInt64(int64(n.Rank()+1)), mpi.Int64, mpi.OpSum, 0, 0)
 		win.Fence(ctx)
 		if n.Rank() == 0 {
 			if got := mpi.DecodeInt64(buf); got != ranks*(ranks+1)/2 {

@@ -449,7 +449,7 @@ func (lf *lockFacts) scanUnlocks(n *CGNode) {
 // canonical patterns — `mu.Lock(); defer mu.Unlock()` and straight-line
 // Lock/Unlock pairs, possibly inside a branch — are tracked exactly;
 // locks threaded through helper returns are not (documented in
-// DESIGN.md §14).
+// DESIGN.md §10).
 func (lf *lockFacts) scanSections(n *CGNode) {
 	p := n.Pkg
 	edgesAt := map[ast.Node][]CGEdge{}

@@ -231,10 +231,7 @@ func reuseScanBody(n *CGNode) []Finding {
 		}
 		return facts
 	}
-	transfer := func(b *CFGBlock, in factSet) factSet {
-		return foldBlock(b, in, true, transferNode)
-	}
-	in, _ := solveDF(cfg, dfProblem{forward: true, boundary: emptyFacts(), transfer: transfer})
+	in := solveDF(cfg, transferNode)
 
 	// Reporting replay: at each node, check hazards against the facts
 	// flowing in, then apply its transfer.
@@ -504,4 +501,58 @@ func payloadRetention(p *Package, sig *ast.FuncType, body *ast.BlockStmt) []Find
 		return true
 	})
 	return out
+}
+
+// postMethodNames are the nonblocking posts: methods returning a
+// *Request, whose buffer the transport owns until it completes.
+var postMethodNames = map[string]bool{
+	"Isend": true, "Irecv": true, "IrecvAdopt": true, "IrecvBytes": true,
+	"Ibarrier": true, "Ibcast": true, "Iallreduce": true,
+}
+
+// completeMethodNames complete (or take over) a posted request. DDF is
+// here because handing a request's DDF to an await transfers completion
+// to the enclosing finish scope (the paper's Fig. 3 idiom).
+var completeMethodNames = map[string]bool{
+	"Wait": true, "WaitErr": true, "WaitTimeout": true, "WaitStatus": true,
+	"Test": true, "TestStatus": true, "Free": true, "Cancel": true, "Done": true,
+	"DDF": true,
+}
+
+// isRequestType reports whether t is (a pointer to) a named type
+// called Request — matched by name so fixture packages and the three
+// in-module request families (mpi, hcmpi, sim) all qualify.
+func isRequestType(t types.Type) bool {
+	n := namedOf(t)
+	return n != nil && n.Obj().Name() == "Request"
+}
+
+// rmaPostNames are the one-sided posts, valid only on a Win receiver
+// (Put/Get are far too common as names to match on any type).
+var rmaPostNames = map[string]bool{"Put": true, "Accumulate": true, "Get": true}
+
+// postCallOf resolves call to a nonblocking post: a method named like
+// a post whose single result is a request.
+func postCallOf(p *Package, call *ast.CallExpr) (*types.Func, bool) {
+	fn := calleeFunc(p, call)
+	if fn == nil {
+		return nil, false
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return nil, false
+	}
+	if !postMethodNames[fn.Name()] {
+		if !rmaPostNames[fn.Name()] {
+			return nil, false
+		}
+		recv := namedOf(sig.Recv().Type())
+		if recv == nil || recv.Obj().Name() != "Win" {
+			return nil, false
+		}
+	}
+	if sig.Results().Len() != 1 || !isRequestType(sig.Results().At(0).Type()) {
+		return nil, false
+	}
+	return fn, true
 }

@@ -33,7 +33,7 @@ import (
 // of control: the nonblocking and lock-held analyses skip Go edges.
 // Soundness limits (calls into the standard library are opaque except
 // for the recognized blocking primitives; reflection and unsafe are
-// invisible) are catalogued in DESIGN.md §14.
+// invisible) are catalogued in DESIGN.md §10.
 
 // CGNode is one function in the call graph: a declared function/method
 // (Fn != nil) or a function literal (Lit != nil).

@@ -8,10 +8,10 @@ import (
 )
 
 // Control-flow graphs over go/ast function bodies. The dataflow-based
-// analyzers (request-leak, buffer-reuse, collective-divergence) need
-// path sensitivity the block-stack tricks of the older analyzers can't
-// give: "on every path to the exit", "between the post and its
-// completion". BuildCFG decomposes one body into basic blocks of
+// analyzers (buffer-reuse, collective-divergence) need path
+// sensitivity the block-stack tricks of the older analyzers can't give:
+// "between the post and its completion", "may this variable hold a
+// rank-derived value here". BuildCFG decomposes one body into basic blocks of
 // *simple* statements — control statements (if/for/switch/select) are
 // dissolved into edges, with their condition/tag expressions appended
 // as plain nodes so transfer functions see them in evaluation order.

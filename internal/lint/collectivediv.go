@@ -174,16 +174,13 @@ func divScanBody(n *CGNode) []Finding {
 		}
 		return facts
 	}
-	transfer := func(b *CFGBlock, in factSet) factSet {
-		return foldBlock(b, in, true, transferNode)
-	}
-	in, _ := solveDF(cfg, dfProblem{forward: true, boundary: emptyFacts(), transfer: transfer})
+	in := solveDF(cfg, transferNode)
 
 	taintedAt := func(e ast.Expr) bool {
 		if e == nil {
 			return false
 		}
-		facts, ok := factsAt(cfg, in, e, true, transferNode)
+		facts, ok := factsAt(cfg, in, e, transferNode)
 		if !ok {
 			// Not a CFG-indexed node (e.g. a range operand shared with
 			// the synthetic bind): fall back to the block's input.

@@ -2,49 +2,39 @@ package lint
 
 import "go/ast"
 
-// A small forward/backward may/must dataflow framework over the CFGs
-// of cfg.go. Facts are opaque comparable keys (the analyzers use
-// *types.Var and tiny structs of them); a factSet is the lattice
-// element. May-problems meet by union with interior blocks starting
-// empty; must-problems meet by intersection with interior blocks
-// starting at TOP (represented explicitly — the universe of facts is
-// not known up front, so TOP is a flag, not a set).
+// A small forward may-dataflow framework over the CFGs of cfg.go, the
+// one mode buffer-reuse and collective-divergence need. Facts are
+// opaque comparable keys (the analyzers use *types.Var and tiny structs
+// of them); a factSet is the lattice element. Blocks meet by union,
+// and every block starts empty.
 //
-// The solver runs a round-robin worklist to fixpoint. Transfer
-// functions are whole-block; analyzers compose them from per-node
-// transfers with foldBlock, which visits a block's Nodes in execution
-// order (forward) or reverse (backward). factsAt replays a block's
-// prefix to recover the facts holding immediately before one node —
-// that is how condition expressions are judged at their program point.
+// The solver runs a round-robin worklist to fixpoint. Analyzers supply
+// a per-node transfer, which the solver folds across a block's Nodes
+// in execution order. factsAt replays a block's prefix to recover the
+// facts holding immediately before one node — that is how condition
+// expressions are judged at their program point.
 
-// factSet is one lattice element: a set of facts, or TOP (all facts).
+// factSet is one lattice element: a set of facts.
 type factSet struct {
-	top bool
-	m   map[any]bool
+	m map[any]bool
 }
 
 func emptyFacts() factSet { return factSet{} }
-func topFacts() factSet   { return factSet{top: true} }
 
-// Has reports fact membership; TOP has everything.
-func (s factSet) Has(k any) bool { return s.top || s.m[k] }
-
-// Len is the number of explicit facts (0 for TOP — callers check top).
-func (s factSet) Len() int { return len(s.m) }
+// Has reports fact membership.
+func (s factSet) Has(k any) bool { return s.m[k] }
 
 // With returns s ∪ {k} (a copy; s is not mutated).
 func (s factSet) With(k any) factSet {
-	if s.top || s.m[k] {
+	if s.m[k] {
 		return s
 	}
 	return s.clone().add(k)
 }
 
-// Without returns s \ {k}. Removing from TOP is unsupported by this
-// lattice (the universe is unknown); must-analyses with kills must
-// enumerate their universe into the boundary instead.
+// Without returns s \ {k} (a copy; s is not mutated).
 func (s factSet) Without(k any) factSet {
-	if s.top || !s.m[k] {
+	if !s.m[k] {
 		return s
 	}
 	c := s.clone()
@@ -53,7 +43,7 @@ func (s factSet) Without(k any) factSet {
 }
 
 func (s factSet) clone() factSet {
-	c := factSet{top: s.top, m: make(map[any]bool, len(s.m))}
+	c := factSet{m: make(map[any]bool, len(s.m))}
 	for k := range s.m {
 		c.m[k] = true
 	}
@@ -69,7 +59,7 @@ func (s factSet) add(k any) factSet {
 }
 
 func (s factSet) equal(o factSet) bool {
-	if s.top != o.top || len(s.m) != len(o.m) {
+	if len(s.m) != len(o.m) {
 		return false
 	}
 	for k := range s.m {
@@ -81,9 +71,6 @@ func (s factSet) equal(o factSet) bool {
 }
 
 func union(a, b factSet) factSet {
-	if a.top || b.top {
-		return topFacts()
-	}
 	if len(a.m) == 0 {
 		return b
 	}
@@ -94,126 +81,52 @@ func union(a, b factSet) factSet {
 	return out
 }
 
-func intersect(a, b factSet) factSet {
-	if a.top {
-		return b
-	}
-	if b.top {
-		return a
-	}
-	out := factSet{m: map[any]bool{}}
-	for k := range a.m {
-		if b.m[k] {
-			out.add(k)
-		}
-	}
-	return out
-}
+// nodeTransfer maps the facts holding before one CFG node to those
+// holding after it.
+type nodeTransfer func(n ast.Node, facts factSet) factSet
 
-// dfProblem specifies one dataflow analysis.
-type dfProblem struct {
-	forward  bool
-	must     bool
-	boundary factSet // facts at Entry (forward) or Exit (backward)
-	// transfer maps the facts at a block's input edge to its output
-	// edge (input = top of block for forward, bottom for backward).
-	transfer func(b *CFGBlock, in factSet) factSet
-}
-
-// solveDF runs the worklist to fixpoint and returns the per-block
-// input and output fact sets (in the problem's direction: for a
-// backward problem, in[b] holds at the block's *bottom*).
-func solveDF(cfg *CFG, p dfProblem) (in, out map[*CFGBlock]factSet) {
-	in = make(map[*CFGBlock]factSet, len(cfg.Blocks))
-	out = make(map[*CFGBlock]factSet, len(cfg.Blocks))
-	boundaryBlock := cfg.Entry
-	if !p.forward {
-		boundaryBlock = cfg.Exit
-	}
-	for _, b := range cfg.Blocks {
-		if p.must {
-			out[b] = topFacts()
-		} else {
-			out[b] = emptyFacts()
-		}
-	}
-	meet := union
-	if p.must {
-		meet = intersect
-	}
-	edgesIn := func(b *CFGBlock) []*CFGBlock {
-		if p.forward {
-			return b.Preds
-		}
-		return b.Succs
-	}
+// solveDF runs the forward may-analysis to fixpoint and returns the
+// facts holding at the top of each block. Nothing holds at Entry.
+func solveDF(cfg *CFG, transfer nodeTransfer) map[*CFGBlock]factSet {
+	in := make(map[*CFGBlock]factSet, len(cfg.Blocks))
+	out := make(map[*CFGBlock]factSet, len(cfg.Blocks))
 	for changed := true; changed; {
 		changed = false
 		for _, b := range cfg.Blocks {
-			var inb factSet
-			if b == boundaryBlock {
-				inb = p.boundary
-			} else {
-				if p.must {
-					inb = topFacts()
-				} else {
-					inb = emptyFacts()
-				}
-				for _, e := range edgesIn(b) {
-					inb = meet(inb, out[e])
+			inb := emptyFacts()
+			if b != cfg.Entry {
+				for _, e := range b.Preds {
+					inb = union(inb, out[e])
 				}
 			}
 			in[b] = inb
-			o := p.transfer(b, inb)
+			o := inb
+			for _, n := range b.Nodes {
+				o = transfer(n, o)
+			}
 			if !o.equal(out[b]) {
 				out[b] = o
 				changed = true
 			}
 		}
 	}
-	return in, out
-}
-
-// foldBlock composes a per-node transfer across a block, in execution
-// order when forward, reverse otherwise.
-func foldBlock(b *CFGBlock, in factSet, forward bool,
-	f func(n ast.Node, facts factSet) factSet) factSet {
-	if forward {
-		for _, n := range b.Nodes {
-			in = f(n, in)
-		}
-		return in
-	}
-	for i := len(b.Nodes) - 1; i >= 0; i-- {
-		in = f(b.Nodes[i], in)
-	}
 	return in
 }
 
 // factsAt replays the solved analysis inside node's block and returns
-// the facts holding immediately before node (forward) or immediately
-// after it (backward). Returns false when the node was not indexed.
-func factsAt(cfg *CFG, in map[*CFGBlock]factSet, node ast.Node, forward bool,
-	f func(n ast.Node, facts factSet) factSet) (factSet, bool) {
+// the facts holding immediately before node. Returns false when the
+// node was not indexed.
+func factsAt(cfg *CFG, in map[*CFGBlock]factSet, node ast.Node, transfer nodeTransfer) (factSet, bool) {
 	b := cfg.BlockOf(node)
 	if b == nil {
 		return emptyFacts(), false
 	}
 	facts := in[b]
-	if forward {
-		for _, n := range b.Nodes {
-			if n == node {
-				return facts, true
-			}
-			facts = f(n, facts)
+	for _, n := range b.Nodes {
+		if n == node {
+			return facts, true
 		}
-	} else {
-		for i := len(b.Nodes) - 1; i >= 0; i-- {
-			if b.Nodes[i] == node {
-				return facts, true
-			}
-			facts = f(b.Nodes[i], facts)
-		}
+		facts = transfer(n, facts)
 	}
 	return facts, false
 }

@@ -6,9 +6,8 @@ import (
 )
 
 // The dataflow tests interpret a toy fact language over plain parsed
-// bodies (no type info needed): a call `gen(...)`-style function named
-// genX adds the fact "genX"; a call named killX removes "kill" — the
-// concrete transfers live in each test.
+// bodies (no type info needed): a call to a function named genX adds
+// the fact "genX" (genTransfer below).
 
 // callName returns the callee ident name of an ExprStmt node, or "".
 func callName(n ast.Node) string {
@@ -28,7 +27,7 @@ func callName(n ast.Node) string {
 
 func TestFactSetOps(t *testing.T) {
 	s := emptyFacts().With("a").With("b")
-	if !s.Has("a") || !s.Has("b") || s.Has("c") || s.Len() != 2 {
+	if !s.Has("a") || !s.Has("b") || s.Has("c") || len(s.m) != 2 {
 		t.Fatalf("With: %v", s)
 	}
 	if w := s.Without("a"); w.Has("a") || !w.Has("b") || !s.Has("a") {
@@ -37,20 +36,6 @@ func TestFactSetOps(t *testing.T) {
 	u := union(emptyFacts().With("a"), emptyFacts().With("b"))
 	if !u.Has("a") || !u.Has("b") {
 		t.Fatalf("union: %v", u)
-	}
-	i := intersect(emptyFacts().With("a").With("b"), emptyFacts().With("b").With("c"))
-	if i.Has("a") || !i.Has("b") || i.Has("c") {
-		t.Fatalf("intersect: %v", i)
-	}
-	top := topFacts()
-	if !top.Has("anything") {
-		t.Fatal("TOP must contain everything")
-	}
-	if got := intersect(top, emptyFacts().With("x")); !got.Has("x") || got.top {
-		t.Fatalf("TOP ∩ {x} = %v, want {x}", got)
-	}
-	if got := union(top, emptyFacts().With("x")); !got.top {
-		t.Fatalf("TOP ∪ {x} lost TOP: %v", got)
 	}
 	if !emptyFacts().With("a").equal(emptyFacts().With("a")) {
 		t.Fatal("equal sets compare unequal")
@@ -78,13 +63,10 @@ func TestForwardMayVsMustAtBranchJoin(t *testing.T) {
 	`)
 	cfg := BuildCFG(body)
 	probe := findCall(t, body, "probe")
-	transfer := func(b *CFGBlock, in factSet) factSet {
-		return foldBlock(b, in, true, genTransfer)
-	}
 
 	// MAY (union): anything generated on some path reaches the join.
-	in, _ := solveDF(cfg, dfProblem{forward: true, boundary: emptyFacts(), transfer: transfer})
-	facts, ok := factsAt(cfg, in, probe, true, genTransfer)
+	in := solveDF(cfg, genTransfer)
+	facts, ok := factsAt(cfg, in, probe, genTransfer)
 	if !ok {
 		t.Fatal("probe not found in CFG")
 	}
@@ -92,16 +74,6 @@ func TestForwardMayVsMustAtBranchJoin(t *testing.T) {
 		if !facts.Has(want) {
 			t.Errorf("may-analysis lost %s at join", want)
 		}
-	}
-
-	// MUST (intersection): only facts generated on every path survive.
-	in, _ = solveDF(cfg, dfProblem{forward: true, must: true, boundary: emptyFacts(), transfer: transfer})
-	facts, _ = factsAt(cfg, in, probe, true, genTransfer)
-	if facts.Has("genA") || facts.Has("genB") {
-		t.Error("must-analysis kept a one-sided fact across the join")
-	}
-	if !facts.Has("genCommon") {
-		t.Error("must-analysis lost a fact generated on both branches")
 	}
 }
 
@@ -113,10 +85,7 @@ func TestForwardLoopBackEdge(t *testing.T) {
 		probe()
 	`)
 	cfg := BuildCFG(body)
-	transfer := func(b *CFGBlock, in factSet) factSet {
-		return foldBlock(b, in, true, genTransfer)
-	}
-	in, _ := solveDF(cfg, dfProblem{forward: true, boundary: emptyFacts(), transfer: transfer})
+	in := solveDF(cfg, genTransfer)
 
 	// The fact generated in the body must flow around the back edge to
 	// the loop condition (iteration ≥ 2 sees it).
@@ -128,65 +97,15 @@ func TestForwardLoopBackEdge(t *testing.T) {
 		}
 		return true
 	})
-	headFacts, ok := factsAt(cfg, in, fr.Cond, true, genTransfer)
+	headFacts, ok := factsAt(cfg, in, fr.Cond, genTransfer)
 	if !ok || !headFacts.Has("genLoop") {
 		t.Fatalf("back edge did not carry the loop fact to the head: %v", headFacts)
 	}
 	// May-analysis: the loop may run zero times, yet the fact still MAY
 	// hold after it.
-	probeFacts, _ := factsAt(cfg, in, findCall(t, body, "probe"), true, genTransfer)
+	probeFacts, _ := factsAt(cfg, in, findCall(t, body, "probe"), genTransfer)
 	if !probeFacts.Has("genLoop") {
 		t.Error("may-analysis lost the loop fact after the loop")
-	}
-
-	// Must-analysis: zero iterations are possible, so nothing survives.
-	in, _ = solveDF(cfg, dfProblem{forward: true, must: true, boundary: emptyFacts(), transfer: transfer})
-	probeFacts, _ = factsAt(cfg, in, findCall(t, body, "probe"), true, genTransfer)
-	if probeFacts.Has("genLoop") {
-		t.Error("must-analysis claims a zero-trip loop always ran")
-	}
-}
-
-func TestBackwardMayLeakShape(t *testing.T) {
-	// The request-leak shape: backward from the exit, the fact "pending"
-	// survives any path that misses the kill() call.
-	mk := func(src string) (factSet, bool) {
-		body := parseBody(t, src)
-		cfg := BuildCFG(body)
-		transferNode := func(n ast.Node, facts factSet) factSet {
-			if callName(n) == "kill" {
-				return facts.Without("pending")
-			}
-			return facts
-		}
-		transfer := func(b *CFGBlock, in factSet) factSet {
-			return foldBlock(b, in, false, transferNode)
-		}
-		in, _ := solveDF(cfg, dfProblem{forward: false,
-			boundary: emptyFacts().With("pending"), transfer: transfer})
-		return factsAt(cfg, in, findCall(t, body, "post"), false, transferNode)
-	}
-
-	facts, ok := mk(`
-		post()
-		if c {
-			kill()
-		}
-	`)
-	if !ok || !facts.Has("pending") {
-		t.Error("kill on one path only: the pending fact must survive below post")
-	}
-
-	facts, _ = mk(`
-		post()
-		if c {
-			kill()
-		} else {
-			kill()
-		}
-	`)
-	if facts.Has("pending") {
-		t.Error("kill on every path: the pending fact must be dead below post")
 	}
 }
 
@@ -201,11 +120,8 @@ func TestUnreachableBlocksDoNotPollute(t *testing.T) {
 		probe2()
 	`)
 	cfg := BuildCFG(body)
-	transfer := func(b *CFGBlock, in factSet) factSet {
-		return foldBlock(b, in, true, genTransfer)
-	}
-	in, _ := solveDF(cfg, dfProblem{forward: true, boundary: emptyFacts(), transfer: transfer})
-	facts, ok := factsAt(cfg, in, findCall(t, body, "probe"), true, genTransfer)
+	in := solveDF(cfg, genTransfer)
+	facts, ok := factsAt(cfg, in, findCall(t, body, "probe"), genTransfer)
 	if !ok {
 		t.Fatal("probe not indexed")
 	}

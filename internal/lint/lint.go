@@ -10,22 +10,19 @@
 // (ALLOCATED→PRESCRIBED→ACTIVE→COMPLETED→AVAILABLE, paper Fig. 11),
 // single-assignment DDFs, and the wait-free trace rings. Each analyzer
 // here machine-checks one of those invariants on every build, instead of
-// hoping a -race run gets lucky:
+// hoping a -race run gets lucky. Nine analyzers, in three groups:
 //
-//   - atomic-mix: a field accessed through sync/atomic helpers anywhere
-//     must never be read or written plainly.
-//   - lifecycle: comm-task state changes only through Node.traceState,
-//     and no commTask use may follow a retiring call in the same block.
-//   - ddf-once: two Put/PutVia calls on the same DDF along one control
-//     path is a guaranteed panic (single assignment).
-//   - hotpath-alloc: functions annotated //hclint:hotpath must stay
-//     allocation-free (no composite literals, append, closures, fmt, or
-//     interface boxing).
-//   - test-goroutine: t.Fatal/FailNow/Skip inside a go statement in
-//     _test.go files (testing.T.FailNow must run on the test goroutine).
+//   - intra-procedural: lifecycle (comm-task state changes only through
+//     Node.traceState, and no commTask use follows a retiring call),
+//     ddf-once (two Puts on one DDF along one path), hotpath-alloc
+//     (//hclint:hotpath functions stay allocation-free);
+//   - over the module call graph: lock-order, nonblocking, tag-space,
+//     goroutine-leak;
+//   - forward dataflow over per-function CFGs: buffer-reuse,
+//     collective-divergence.
 //
-// See DESIGN.md §10 for the invariant catalogue and how to add an
-// analyzer.
+// See DESIGN.md §10 for the invariant catalogue, the record each
+// analyzer is kept on, and how to add one.
 package lint
 
 import (
@@ -88,29 +85,10 @@ type Analyzer struct {
 // All returns the default analyzer suite, in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		AtomicMix, Lifecycle, DDFOnce, HotpathAlloc, TestGoroutine,
+		Lifecycle, DDFOnce, HotpathAlloc,
 		LockOrder, Nonblocking, TagSpace, GoroutineLeak,
-		RequestLeak, BufferReuse, CollectiveDivergence,
+		BufferReuse, CollectiveDivergence,
 	}
-}
-
-// ByName resolves a comma-separated analyzer selection.
-func ByName(names []string) ([]*Analyzer, error) {
-	var out []*Analyzer
-	for _, n := range names {
-		found := false
-		for _, a := range All() {
-			if a.Name == n {
-				out = append(out, a)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("unknown analyzer %q", n)
-		}
-	}
-	return out, nil
 }
 
 // RunAll applies every analyzer to every package (module analyzers run
@@ -121,7 +99,7 @@ func RunAll(pkgs []*Package, checks []*Analyzer) []Finding {
 	return RunAllResult(pkgs, checks).Findings
 }
 
-// Stat is one analyzer's contribution to a RunAllStats run. The first
+// Stat is one analyzer's contribution to a RunAllResult run. The first
 // module-wide analyzer to run pays for the shared call-graph and
 // blocking-facts construction; later ones hit the cache, so its Elapsed
 // includes the graph build.
@@ -131,33 +109,16 @@ type Stat struct {
 	Elapsed  time.Duration
 }
 
-// Suppressed is a finding masked by an //hclint:allow comment. It is
-// kept (rather than dropped on the floor) so the SARIF writer can emit
-// it as a suppressed result with its justification, and so the
-// stale-allow audit can tell live waivers from dead ones.
-type Suppressed struct {
-	Finding Finding
-	Reason  string
-}
-
-// Result is one full lint run: surviving findings (sorted), suppressed
-// findings with their justifications, and per-analyzer stats.
+// Result is one full lint run: surviving findings (sorted) and
+// per-analyzer stats.
 type Result struct {
-	Findings   []Finding
-	Suppressed []Suppressed
-	Stats      []Stat
+	Findings []Finding
+	Stats    []Stat
 }
 
-// RunAllStats is RunAll with per-analyzer accounting, for the driver's
-// -stats flag and the Makefile lint target.
-func RunAllStats(pkgs []*Package, checks []*Analyzer) ([]Finding, []Stat) {
-	r := RunAllResult(pkgs, checks)
-	return r.Findings, r.Stats
-}
-
-// RunAllResult runs the suite and returns findings, suppressions, and
-// stats together. Suppression hit counts are reset at the start of the
-// run, so AuditAllows afterwards sees exactly this run's usage.
+// RunAllResult runs the suite and returns findings and stats together.
+// Suppression hit counts are reset at the start of the run, so
+// AuditAllows afterwards sees exactly this run's usage.
 func RunAllResult(pkgs []*Package, checks []*Analyzer) Result {
 	for _, p := range pkgs {
 		for _, ac := range p.allowComments() {
@@ -170,17 +131,13 @@ func RunAllResult(pkgs []*Package, checks []*Analyzer) Result {
 		var fs []Finding
 		if a.Run != nil {
 			for _, p := range pkgs {
-				kept, supp := filterAllowed(p, a.Run(p))
-				fs = append(fs, kept...)
-				res.Suppressed = append(res.Suppressed, supp...)
+				fs = append(fs, filterAllowed(p, a.Run(p))...)
 			}
 		}
 		if a.RunModule != nil {
 			mfs := a.RunModule(pkgs)
 			for _, p := range pkgs {
-				var supp []Suppressed
-				mfs, supp = filterAllowed(p, mfs)
-				res.Suppressed = append(res.Suppressed, supp...)
+				mfs = filterAllowed(p, mfs)
 			}
 			fs = append(fs, mfs...)
 		}
@@ -193,8 +150,8 @@ func RunAllResult(pkgs []*Package, checks []*Analyzer) Result {
 
 // AuditAllows reports every //hclint:allow comment that suppressed
 // nothing in the preceding RunAllResult. A stale allow is a blanket
-// waiver waiting for a new bug to hide under, so `make lint` fails on
-// them (satellite: suppression audit).
+// waiver waiting for a new bug to hide under, so `make lint` and
+// TestLiveTreeClean fail on them.
 func AuditAllows(pkgs []*Package) []Finding {
 	var out []Finding
 	seen := map[string]bool{}
@@ -236,7 +193,7 @@ func sortFindings(out []Finding) {
 // allowMarker suppresses one finding with a stated reason, either
 // trailing the flagged line or as a full-line comment directly above:
 //
-//	n.Isend(buf, peer, tag) //hclint:allow fire-and-forget send: the eager transport copies at post
+//	p.cfg.Hooks.OnFirstArrival(myPhase) //hclint:allow Hooks contract: runs under p.mu and must not block
 const allowMarker = "//hclint:allow"
 
 // allowComment is one //hclint:allow suppression: where it lives, its
@@ -299,27 +256,25 @@ func (p *Package) allowComments() []*allowComment {
 	return out
 }
 
-// filterAllowed splits findings into those that survive and those
-// suppressed by //hclint:allow comments in p's files (recording a hit
-// on the comment); findings positioned in other packages pass through.
-func filterAllowed(p *Package, fs []Finding) ([]Finding, []Suppressed) {
+// filterAllowed drops the findings suppressed by //hclint:allow
+// comments in p's files (recording a hit on the comment); findings
+// positioned in other packages pass through.
+func filterAllowed(p *Package, fs []Finding) []Finding {
 	idx := p.allowIndex()
 	if len(idx) == 0 {
-		return fs, nil
+		return fs
 	}
 	out := fs[:0]
-	var supp []Suppressed
 	for _, f := range fs {
 		if lines, ok := idx[f.Pos.Filename]; ok {
 			if ac := lines[f.Pos.Line]; ac != nil {
 				ac.Hits++
-				supp = append(supp, Suppressed{Finding: f, Reason: ac.Reason})
 				continue
 			}
 		}
 		out = append(out, f)
 	}
-	return out, supp
+	return out
 }
 
 // dedupe removes exact-duplicate findings (same position, check, and
@@ -363,6 +318,62 @@ func calleeFunc(p *Package, call *ast.CallExpr) *types.Func {
 		return calleeFunc(p, &ast.CallExpr{Fun: fun.X})
 	}
 	return nil
+}
+
+// parentsOf indexes each node's syntactic parent within root.
+func parentsOf(root ast.Node) map[ast.Node]ast.Node {
+	parents := map[ast.Node]ast.Node{}
+	var stack []ast.Node
+	ast.Inspect(root, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		if len(stack) > 0 {
+			parents[n] = stack[len(stack)-1]
+		}
+		stack = append(stack, n)
+		return true
+	})
+	return parents
+}
+
+// unparenParent returns n's syntactic parent, climbing out of
+// parentheses.
+func unparenParent(parents map[ast.Node]ast.Node, n ast.Node) ast.Node {
+	p := parents[n]
+	for {
+		if pe, ok := p.(*ast.ParenExpr); ok {
+			p = parents[pe]
+			continue
+		}
+		return p
+	}
+}
+
+// localVarOf resolves id to the local variable it defines or names.
+func localVarOf(p *Package, id *ast.Ident) *types.Var {
+	if v, ok := p.Info.Defs[id].(*types.Var); ok && !v.IsField() {
+		return v
+	}
+	if v, ok := p.Info.Uses[id].(*types.Var); ok && !v.IsField() {
+		return v
+	}
+	return nil
+}
+
+// funcLits collects the top-level function literals of a body (nested
+// ones belong to their enclosing literal's scan).
+func funcLits(body ast.Node) []*ast.FuncLit {
+	var out []*ast.FuncLit
+	ast.Inspect(body, func(n ast.Node) bool {
+		if f, ok := n.(*ast.FuncLit); ok {
+			out = append(out, f)
+			return false
+		}
+		return true
+	})
+	return out
 }
 
 // isBuiltin reports whether a call invokes the named builtin.

@@ -3,18 +3,16 @@
 // one stale comment suppressing nothing, which the audit must flag.
 package allowaudit
 
-type Request struct{}
-
-func (r *Request) Wait() {}
-
-type Comm struct{}
-
-func (c *Comm) Isend(buf []byte, dst, tag int) *Request { return &Request{} }
-
-func fireAndForget(c *Comm, buf []byte) {
-	c.Isend(buf, 1, 0) //hclint:allow transport completes control messages autonomously
+type ring struct {
+	slots []int64
 }
 
-func clean(c *Comm, buf []byte) {
-	c.Isend(buf, 1, 0).Wait() //hclint:allow stale: this line produces no finding
+//hclint:hotpath
+func (r *ring) grow() {
+	r.slots = make([]int64, 2*len(r.slots)) //hclint:allow resize runs once per doubling, not per event
+}
+
+//hclint:hotpath
+func (r *ring) emit(v int64) {
+	r.slots[0] = v //hclint:allow stale: this line produces no finding
 }

@@ -69,7 +69,7 @@ func TestWaitAllInto(t *testing.T) {
 			reqs[i] = c1.Irecv(bufs[i], 0, i)
 		}
 		for i := range reqs {
-			c0.Isend([]byte{1, 2, 3}, 1, i) //hclint:allow fire-and-forget send: the eager transport copies at post; teardown reaps it
+			c0.Isend([]byte{1, 2, 3}, 1, i)
 		}
 		return reqs
 	}

@@ -108,7 +108,7 @@ func confNonOvertaking(t *testing.T, c *mpi.Comm) {
 	switch c.Rank() {
 	case 0:
 		for i := 0; i < msgs; i++ {
-			c.Isend([]byte{byte(i)}, 1, 3) //hclint:allow fire-and-forget send: the eager transport copies at post; teardown reaps it
+			c.Isend([]byte{byte(i)}, 1, 3)
 		}
 	case 1:
 		buf := make([]byte, 1)
@@ -199,8 +199,8 @@ func confVariableSize(t *testing.T, c *mpi.Comm) {
 func confSelfSend(t *testing.T, c *mpi.Comm) {
 	// Loopback must copy: mutate the source buffer right after Isend.
 	src := []byte{42}
-	c.Isend(src, c.Rank(), 1) //hclint:allow fire-and-forget send: the eager transport copies at post; teardown reaps it
-	src[0] = 99               //hclint:allow deliberate: asserts the loopback transport copies the buffer at post time
+	c.Isend(src, c.Rank(), 1)
+	src[0] = 99 //hclint:allow deliberate: asserts the loopback transport copies the buffer at post time
 	buf := make([]byte, 1)
 	c.Recv(buf, c.Rank(), 1)
 	if buf[0] != 42 {
@@ -398,7 +398,7 @@ func confMixedWithP2P(t *testing.T, c *mpi.Comm) {
 	next := (c.Rank() + 1) % c.Size()
 	prev := (c.Rank() + c.Size() - 1) % c.Size()
 	r := c.IrecvAdopt(prev, 6)
-	c.Isend([]byte{byte(c.Rank())}, next, 6) //hclint:allow fire-and-forget send: the eager transport copies at post; teardown reaps it
+	c.Isend([]byte{byte(c.Rank())}, next, 6)
 	c.Barrier()
 	sum := mpi.DecodeInt64(c.Allreduce(mpi.EncodeInt64(int64(c.Rank())), mpi.Int64, mpi.OpSum))
 	st := r.WaitStatus()
@@ -415,7 +415,7 @@ func confRMAPutFence(t *testing.T, c *mpi.Comm) {
 	buf := make([]byte, c.Size())
 	win := c.WinCreate(buf)
 	for target := 0; target < c.Size(); target++ {
-		win.Put([]byte{byte(c.Rank() + 1)}, target, c.Rank()) //hclint:allow RMA requests are epoch-completed by Win.Fence, not per-request Wait
+		win.Put([]byte{byte(c.Rank() + 1)}, target, c.Rank())
 	}
 	win.Fence()
 	for r := 0; r < c.Size(); r++ {
@@ -450,7 +450,7 @@ func confRMAAccumulate(t *testing.T, c *mpi.Comm) {
 	buf := mpi.EncodeInt64(0)
 	win := c.WinCreate(buf)
 	win.Fence()
-	win.Accumulate(mpi.EncodeInt64(int64(c.Rank()+1)), mpi.Int64, mpi.OpSum, 0, 0) //hclint:allow RMA requests are epoch-completed by Win.Fence, not per-request Wait
+	win.Accumulate(mpi.EncodeInt64(int64(c.Rank()+1)), mpi.Int64, mpi.OpSum, 0, 0)
 	win.Fence()
 	if c.Rank() == 0 {
 		n := int64(c.Size())

@@ -36,7 +36,7 @@ func TestZeroFaultsAreFree(t *testing.T) {
 	w := NewWorld(2, WithFaults(netsim.Faults{}))
 	defer w.Close()
 	c0, c1 := w.Comm(0), w.Comm(1)
-	c0.Isend([]byte("x"), 1, 0) //hclint:allow fire-and-forget send: the eager transport copies at post; teardown reaps it
+	c0.Isend([]byte("x"), 1, 0)
 	buf := make([]byte, 1)
 	if st := c1.Recv(buf, 0, 0); st.Err != nil || st.Bytes != 1 {
 		t.Fatalf("recv under zero faults: %+v", st)
@@ -127,7 +127,7 @@ func TestCommSetDeadline(t *testing.T) {
 	if _, err := r.WaitTimeout(10 * time.Millisecond); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("WaitTimeout on pending recv: %v", err)
 	}
-	w.Comm(1).Isend([]byte{7}, 0, 8) //hclint:allow fire-and-forget send: the eager transport copies at post; teardown reaps it
+	w.Comm(1).Isend([]byte{7}, 0, 8)
 	if st, err := r.WaitErr(); err != nil || buf[0] != 7 {
 		t.Fatalf("recv after WaitTimeout expiry: st=%+v err=%v buf=%v", st, err, buf)
 	}
@@ -159,7 +159,7 @@ func TestCrashedRankFailsPending(t *testing.T) {
 	if _, err := c0.Irecv(buf, 2, 5).WaitErr(); !errors.Is(err, ErrRankFailed) {
 		t.Fatalf("recv from crashed rank posted after crash: %v", err)
 	}
-	c1.Isend([]byte("alive"), 0, 6) //hclint:allow fire-and-forget send: the eager transport copies at post; teardown reaps it
+	c1.Isend([]byte("alive"), 0, 6)
 	if st, err := anyReq.WaitErr(); err != nil || st.Source != 1 {
 		t.Fatalf("AnySource recv after crash: st=%+v err=%v", st, err)
 	}
@@ -190,7 +190,7 @@ func TestStalledRankRecovers(t *testing.T) {
 	defer w.Close()
 	w.StallRank(1, 30*time.Millisecond)
 	start := time.Now()
-	w.Comm(0).Isend([]byte("slow"), 1, 2) //hclint:allow fire-and-forget send: the eager transport copies at post; teardown reaps it
+	w.Comm(0).Isend([]byte("slow"), 1, 2)
 	buf := make([]byte, 4)
 	st, err := w.Comm(1).IrecvTimeout(buf, 0, 2, 5*time.Second).WaitErr()
 	if err != nil || st.Bytes != 4 {
@@ -218,7 +218,7 @@ func TestCancelDeliverRaceHasOneWinner(t *testing.T) {
 		r := c0.Irecv(buf, 1, 4)
 		done := make(chan bool, 1)
 		go func() { done <- r.Cancel() }()
-		c1.Isend([]byte{9}, 0, 4) //hclint:allow fire-and-forget send: the eager transport copies at post; teardown reaps it
+		c1.Isend([]byte{9}, 0, 4)
 		cancelled := <-done
 		st := r.Wait()
 		if st.Err != nil {

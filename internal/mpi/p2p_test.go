@@ -99,7 +99,7 @@ func TestNonOvertakingWithLatency(t *testing.T) {
 		switch c.Rank() {
 		case 0:
 			for i := 0; i < n; i++ {
-				c.Isend([]byte{byte(i)}, 1, 3) //hclint:allow fire-and-forget send: the eager transport copies at post; teardown reaps it
+				c.Isend([]byte{byte(i)}, 1, 3)
 			}
 		case 1:
 			for i := 0; i < n; i++ {
@@ -361,7 +361,7 @@ func TestAnyTagDoesNotMatchReservedTags(t *testing.T) {
 func TestSelfSend(t *testing.T) {
 	w := NewWorld(1)
 	w.Run(func(c *Comm) {
-		c.Isend([]byte("self"), 0, 9) //hclint:allow fire-and-forget send: the eager transport copies at post; teardown reaps it
+		c.Isend([]byte("self"), 0, 9)
 		buf := make([]byte, 4)
 		st := c.Recv(buf, 0, 9)
 		if string(buf) != "self" || st.Source != 0 {
@@ -378,7 +378,7 @@ func TestUserTagValidation(t *testing.T) {
 				t.Error("negative user tag did not panic")
 			}
 		}()
-		c.Isend(nil, 0, -5) //hclint:allow fire-and-forget send: the eager transport copies at post; teardown reaps it
+		c.Isend(nil, 0, -5)
 	})
 }
 
@@ -451,7 +451,7 @@ func TestCheckRankPanics(t *testing.T) {
 				t.Error("send to out-of-range rank did not panic")
 			}
 		}()
-		c.Isend(nil, 9, 0) //hclint:allow fire-and-forget send: the eager transport copies at post; teardown reaps it
+		c.Isend(nil, 9, 0)
 	})
 }
 

@@ -15,7 +15,7 @@ func TestRMAPutFenceVisibility(t *testing.T) {
 		win := c.WinCreate(buf)
 		// Everyone puts its rank id into every other rank's window.
 		for target := 0; target < n; target++ {
-			win.Put([]byte{byte(c.Rank() + 1)}, target, c.Rank()) //hclint:allow RMA requests are epoch-completed by Win.Fence, not per-request Wait
+			win.Put([]byte{byte(c.Rank() + 1)}, target, c.Rank())
 		}
 		win.Fence()
 		// After the fence, every slot must be filled.
@@ -51,7 +51,7 @@ func TestRMAAccumulate(t *testing.T) {
 		buf := make([]byte, 8)
 		win := c.WinCreate(buf)
 		// Every rank accumulates (rank+1) into rank 0's counter.
-		win.Accumulate(EncodeInt64(int64(c.Rank()+1)), Int64, OpSum, 0, 0) //hclint:allow RMA requests are epoch-completed by Win.Fence, not per-request Wait
+		win.Accumulate(EncodeInt64(int64(c.Rank()+1)), Int64, OpSum, 0, 0)
 		win.Fence()
 		if c.Rank() == 0 {
 			if got := DecodeInt64(buf); got != n*(n+1)/2 {
@@ -67,7 +67,7 @@ func TestRMAAccumulateMax(t *testing.T) {
 	w.Run(func(c *Comm) {
 		buf := make([]byte, 8)
 		win := c.WinCreate(buf)
-		win.Accumulate(EncodeInt64(int64(c.Rank()*7)), Int64, OpMax, 0, 0) //hclint:allow RMA requests are epoch-completed by Win.Fence, not per-request Wait
+		win.Accumulate(EncodeInt64(int64(c.Rank()*7)), Int64, OpMax, 0, 0)
 		win.Fence()
 		if c.Rank() == 0 {
 			if got := DecodeInt64(buf); got != 21 {
@@ -91,7 +91,7 @@ func TestRMALocalOperations(t *testing.T) {
 		if p := r.Payload(); p[0] != 1 || p[1] != 2 {
 			t.Errorf("local get: %v", p)
 		}
-		win.Accumulate([]byte{5}, Byte, OpSum, 0, 1) //hclint:allow RMA requests are epoch-completed by Win.Fence, not per-request Wait
+		win.Accumulate([]byte{5}, Byte, OpSum, 0, 1)
 		win.Fence()
 		if buf[1] != 6 {
 			t.Errorf("local accumulate: %v", buf)
@@ -107,8 +107,8 @@ func TestRMAMultipleWindows(t *testing.T) {
 		winA := c.WinCreate(a)
 		winB := c.WinCreate(b)
 		peer := 1 - c.Rank()
-		winA.Put([]byte{7}, peer, 0) //hclint:allow RMA requests are epoch-completed by Win.Fence, not per-request Wait
-		winB.Put([]byte{9}, peer, 1) //hclint:allow RMA requests are epoch-completed by Win.Fence, not per-request Wait
+		winA.Put([]byte{7}, peer, 0)
+		winB.Put([]byte{9}, peer, 1)
 		winA.Fence()
 		winB.Fence()
 		if a[0] != 7 || b[1] != 9 {
@@ -123,7 +123,7 @@ func TestRMAPutGetRoundTripUnderLatency(t *testing.T) {
 		buf := make([]byte, 16)
 		win := c.WinCreate(buf)
 		next := (c.Rank() + 1) % 3
-		win.Put([]byte{byte(c.Rank() + 40)}, next, 0) //hclint:allow RMA requests are epoch-completed by Win.Fence, not per-request Wait
+		win.Put([]byte{byte(c.Rank() + 40)}, next, 0)
 		win.Fence()
 		prev := (c.Rank() + 2) % 3
 		if buf[0] != byte(prev+40) {

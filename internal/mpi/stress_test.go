@@ -43,7 +43,7 @@ func TestRandomTrafficConservation(t *testing.T) {
 		for i := 0; i < msgsPerRank; i++ {
 			dst := (c.Rank() + 1 + i%(ranks-1)) % ranks
 			size := rng.Intn(64) + 1
-			c.Isend(make([]byte, size), dst, 1) //hclint:allow fire-and-forget send: the eager transport copies at post; teardown reaps it
+			c.Isend(make([]byte, size), dst, 1)
 			mu.Lock()
 			sent[[2]int{c.Rank(), dst}]++
 			mu.Unlock()

@@ -6,7 +6,7 @@ package mpi
 // collide when a new subsystem claims a range. The subsystems import
 // their tag constants from this file, and hclint's tag-space analyzer
 // reads ReservedTagRanges to flag any literal tag that strays into a
-// block its package does not own (DESIGN.md §14).
+// block its package does not own (DESIGN.md §10).
 //
 // Layout of the full tag space:
 //

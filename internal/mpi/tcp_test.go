@@ -77,7 +77,7 @@ func TestTCPNonOvertaking(t *testing.T) {
 		switch c.Rank() {
 		case 0:
 			for i := 0; i < msgs; i++ {
-				c.Isend([]byte{byte(i)}, 1, 3) //hclint:allow fire-and-forget send: the eager transport copies at post; teardown reaps it
+				c.Isend([]byte{byte(i)}, 1, 3)
 			}
 		case 1:
 			buf := make([]byte, 1)
@@ -122,7 +122,7 @@ func TestTCPRMA(t *testing.T) {
 		buf := make([]byte, n)
 		win := c.WinCreate(buf)
 		for target := 0; target < n; target++ {
-			win.Put([]byte{byte(c.Rank() + 1)}, target, c.Rank()) //hclint:allow RMA requests are epoch-completed by Win.Fence, not per-request Wait
+			win.Put([]byte{byte(c.Rank() + 1)}, target, c.Rank())
 		}
 		win.Fence()
 		for r := 0; r < n; r++ {
@@ -135,7 +135,7 @@ func TestTCPRMA(t *testing.T) {
 
 func TestTCPSelfSend(t *testing.T) {
 	runDistributed(t, 2, func(c *Comm) {
-		c.Isend([]byte{9}, c.Rank(), 1) //hclint:allow loopback fire-and-forget send: the eager transport copies at post; teardown reaps it
+		c.Isend([]byte{9}, c.Rank(), 1)
 		buf := make([]byte, 1)
 		c.Recv(buf, c.Rank(), 1)
 		if buf[0] != 9 {

@@ -126,13 +126,13 @@ func RunHybrid(c *mpi.Comm, cfg Config, threads int, dist Distribution) int32 {
 			res := results[k]
 			local[ti*tw+tj] = res
 			if ti+1 < th && owner(ti+1, tj) != me {
-				c.Isend(EncodeEdge(res.Bottom), owner(ti+1, tj), hybridTag(cfg, ti+1, tj, edgeBottom)) //hclint:allow fire-and-forget control message: the eager transport copies at post and completes autonomously
+				c.Isend(EncodeEdge(res.Bottom), owner(ti+1, tj), hybridTag(cfg, ti+1, tj, edgeBottom))
 			}
 			if tj+1 < tw && owner(ti, tj+1) != me {
-				c.Isend(EncodeEdge(res.Right), owner(ti, tj+1), hybridTag(cfg, ti, tj+1, edgeRight)) //hclint:allow fire-and-forget control message: the eager transport copies at post and completes autonomously
+				c.Isend(EncodeEdge(res.Right), owner(ti, tj+1), hybridTag(cfg, ti, tj+1, edgeRight))
 			}
 			if ti+1 < th && tj+1 < tw && owner(ti+1, tj+1) != me {
-				c.Isend(EncodeEdge([]int32{res.Corner}), owner(ti+1, tj+1), hybridTag(cfg, ti+1, tj+1, edgeCorner)) //hclint:allow fire-and-forget control message: the eager transport copies at post and completes autonomously
+				c.Isend(EncodeEdge([]int32{res.Corner}), owner(ti+1, tj+1), hybridTag(cfg, ti+1, tj+1, edgeCorner))
 			}
 		}
 	}

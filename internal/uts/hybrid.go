@@ -269,7 +269,7 @@ func (w *hybridThread) pollComm(wantSteal bool) {
 	// New steal request.
 	if wantSteal && !h.outstanding && h.comm.Size() > 1 {
 		victim := pickVictim(h.rng, h.comm.Rank(), h.comm.Size())
-		h.comm.Isend(nil, victim, tagStealReq) //hclint:allow fire-and-forget control message: the eager transport copies at post and completes autonomously
+		h.comm.Isend(nil, victim, tagStealReq)
 		h.pendingResp = h.comm.IrecvAdopt(victim, tagStealResp)
 		h.outstanding = true
 	}
@@ -302,13 +302,13 @@ func (h *hybridRun) answerSteal(thief int) {
 	if msg != nil {
 		// Safra: count the work-carrying send before it leaves.
 		h.bar.WorkSent()
-		h.comm.Isend(msg, thief, tagStealResp) //hclint:allow fire-and-forget control message: the eager transport copies at post and completes autonomously
+		h.comm.Isend(msg, thief, tagStealResp)
 		h.ctrMu.Lock()
 		h.ctr.Released++
 		h.ctrMu.Unlock()
 		return
 	}
-	h.comm.Isend(nil, thief, tagStealResp) //hclint:allow fire-and-forget control message: the eager transport copies at post and completes autonomously
+	h.comm.Isend(nil, thief, tagStealResp)
 }
 
 // tryForwardToken: Dijkstra ring at rank granularity; requires the whole
@@ -328,11 +328,11 @@ func (w *hybridThread) tryForwardToken() {
 	act, tok, next := h.bar.Advance(quiescent)
 	switch act {
 	case distsched.ActionForward:
-		h.comm.Isend(tok, next, tagToken) //hclint:allow fire-and-forget control message: the eager transport copies at post and completes autonomously
+		h.comm.Isend(tok, next, tagToken)
 	case distsched.ActionTerminate:
 		for r := 0; r < h.comm.Size(); r++ {
 			if r != h.comm.Rank() {
-				h.comm.Isend(nil, r, tagDone) //hclint:allow fire-and-forget control message: the eager transport copies at post and completes autonomously
+				h.comm.Isend(nil, r, tagDone)
 			}
 		}
 		h.setDone()
@@ -360,7 +360,7 @@ func (h *hybridRun) drainRejects() {
 		}
 		var b [1]byte
 		h.comm.Recv(b[:0], st.Source, tagStealReq)
-		h.comm.Isend(nil, st.Source, tagStealResp) //hclint:allow fire-and-forget control message: the eager transport copies at post and completes autonomously
+		h.comm.Isend(nil, st.Source, tagStealResp)
 	}
 }
 

@@ -63,7 +63,7 @@ type mpiWorker struct {
 // every reject would prevent any all-white round.
 func (w *mpiWorker) sendWork(buf []byte, dest, tag int) {
 	w.bar.WorkSent()
-	w.comm.Isend(buf, dest, tag) //hclint:allow fire-and-forget control message: the eager transport copies at post and completes autonomously
+	w.comm.Isend(buf, dest, tag)
 }
 
 func (w *mpiWorker) run() Counters {
@@ -139,7 +139,7 @@ func (w *mpiWorker) answerSteal(thief int) {
 		w.ctr.Released++
 		return
 	}
-	w.comm.Isend(nil, thief, tagStealResp) //hclint:allow fire-and-forget control message: the eager transport copies at post and completes autonomously
+	w.comm.Isend(nil, thief, tagStealResp)
 }
 
 // searchForWork is one round of the idle loop: try a random victim,
@@ -159,7 +159,7 @@ func (w *mpiWorker) searchForWork() {
 
 	// Pick a victim and issue a two-sided steal.
 	victim := pickVictim(w.rng, w.comm.Rank(), p)
-	w.comm.Isend(nil, victim, tagStealReq) //hclint:allow fire-and-forget control message: the eager transport copies at post and completes autonomously
+	w.comm.Isend(nil, victim, tagStealReq)
 	resp := w.comm.IrecvAdopt(victim, tagStealResp)
 
 	for {
@@ -179,7 +179,7 @@ func (w *mpiWorker) searchForWork() {
 		if st, ok := w.comm.Iprobe(mpi.AnySource, tagStealReq); ok {
 			var b [1]byte
 			w.comm.Recv(b[:0], st.Source, tagStealReq)
-			w.comm.Isend(nil, st.Source, tagStealResp) //hclint:allow fire-and-forget control message: the eager transport copies at post and completes autonomously
+			w.comm.Isend(nil, st.Source, tagStealResp)
 		}
 		w.tryTakeToken()
 		w.forwardTokenIfIdle()
@@ -210,11 +210,11 @@ func (w *mpiWorker) forwardTokenIfIdle() {
 	act, tok, next := w.bar.Advance(true)
 	switch act {
 	case distsched.ActionForward:
-		w.comm.Isend(tok, next, tagToken) //hclint:allow fire-and-forget control message: the eager transport copies at post and completes autonomously
+		w.comm.Isend(tok, next, tagToken)
 	case distsched.ActionTerminate:
 		for r := 0; r < w.comm.Size(); r++ {
 			if r != w.comm.Rank() {
-				w.comm.Isend(nil, r, tagDone) //hclint:allow fire-and-forget control message: the eager transport copies at post and completes autonomously
+				w.comm.Isend(nil, r, tagDone)
 			}
 		}
 		w.done = true
@@ -230,6 +230,6 @@ func (w *mpiWorker) drainRejects() {
 		}
 		var b [1]byte
 		w.comm.Recv(b[:0], st.Source, tagStealReq)
-		w.comm.Isend(nil, st.Source, tagStealResp) //hclint:allow fire-and-forget control message: the eager transport copies at post and completes autonomously
+		w.comm.Isend(nil, st.Source, tagStealResp)
 	}
 }
