@@ -127,7 +127,7 @@ func (s *nodeStack) canRelease(chunk int) bool { return s.len() >= 2*chunk }
 
 // releaseBottom removes the oldest chunk nodes and returns them as a
 // view into the stack, valid until the stack is next pushed to. The
-// caller has checked canRelease.
+// caller has checked that the stack holds at least chunk nodes.
 func (s *nodeStack) releaseBottom(chunk int) []Node {
 	out := s.buf[s.base : s.base+chunk]
 	s.base += chunk

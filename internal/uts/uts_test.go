@@ -2,11 +2,14 @@ package uts
 
 import (
 	"encoding/hex"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
 	"time"
 
+	"hcmpi/internal/distsched"
+	"hcmpi/internal/hc"
 	"hcmpi/internal/hcmpi"
 	"hcmpi/internal/mpi"
 	"hcmpi/internal/netsim"
@@ -248,6 +251,75 @@ func TestRunHCMPIStealActivity(t *testing.T) {
 	}
 	if total.Steals+total.FailedSteals+total.LocalSteals == 0 {
 		t.Error("no steal activity at all with an idle second rank")
+	}
+}
+
+// TestSpillOnDemand pins lazy task creation: a UTS frame hands out work
+// only after a thief has found the rank short. With nobody to ask, the
+// seed is the job's only frame; a dry second rank gets work through
+// steal grants, with every rank's frames conserved; a dry second driver
+// gets it through local steals. Each shape counts the tree exactly.
+func TestSpillOnDemand(t *testing.T) {
+	want, _ := T3Small.SeqCount()
+	for _, tc := range []struct {
+		ranks, workers int
+		check          func(t *testing.T, st []distsched.Stats, nodes []int64)
+	}{
+		{1, 1, func(t *testing.T, st []distsched.Stats, _ []int64) {
+			if st[0].Spawned != 1 {
+				t.Errorf("spawned %d frames, want the seed alone", st[0].Spawned)
+			}
+		}},
+		{2, 1, func(t *testing.T, st []distsched.Stats, nodes []int64) {
+			var grants int64
+			for r, s := range st {
+				// Whichever rank the seed runs on, the other gets work
+				// only by asking: a busy rank spills nothing unasked.
+				if nodes[r] == 0 {
+					t.Errorf("rank %d counted no nodes", r)
+				}
+				grants += s.GrantsIn
+				if in, out := s.Spawned+s.MigratedIn, s.Executed+s.MigratedOut+s.Dropped; in != out {
+					t.Errorf("rank %d: spawned %d + migrated in %d != executed %d + migrated out %d + dropped %d",
+						r, s.Spawned, s.MigratedIn, s.Executed, s.MigratedOut, s.Dropped)
+				}
+			}
+			if grants == 0 {
+				t.Error("no steal grant reached the dry rank")
+			}
+		}},
+		{1, 2, func(t *testing.T, st []distsched.Stats, _ []int64) {
+			if st[0].LocalSteals == 0 {
+				t.Error("no local steal by the dry driver")
+			}
+		}},
+	} {
+		tc := tc
+		t.Run(fmt.Sprintf("%dx%d", tc.ranks, tc.workers), func(t *testing.T) {
+			st := make([]distsched.Stats, tc.ranks)
+			nodes := make([]int64, tc.ranks)
+			mpi.NewWorld(tc.ranks).Run(func(c *mpi.Comm) {
+				n := hcmpi.NewNode(c, hcmpi.Config{Workers: tc.workers})
+				s := distsched.New(n)
+				n.Main(func(ctx *hc.Ctx) {
+					ctr, err := runHCMPIOn(s, ctx, T3Small, DefaultParams)
+					if err != nil {
+						t.Errorf("rank %d: %v", c.Rank(), err)
+					}
+					nodes[c.Rank()] = ctr.Nodes
+				})
+				n.Close()
+				st[c.Rank()] = s.Stats()
+			})
+			total := int64(0)
+			for _, k := range nodes {
+				total += k
+			}
+			if total != want {
+				t.Errorf("counted %d nodes, want %d", total, want)
+			}
+			tc.check(t, st, nodes)
+		})
 	}
 }
 
