@@ -46,11 +46,14 @@ chaos:
 # trace ring's multi-writer tests 50 times over under the race detector
 # (before the slot claim, a writer lapped on its slot tore the newer
 # writer's event within 200 rounds of TestRingLappedWriterDropsNotTears
-# in most race runs).
+# in most race runs), then the dedicated worker's wake-word tests 50
+# times over under the race detector (a lost wake-up is a once-in-N
+# hang: each test guards one kick and fails at its 5 s bound).
 soak:
 	$(GO) test -run '^$$' -bench BenchmarkRealUTSHCMPI -benchtime 20000x -cpu 4 .
 	$(GO) test -race -count=200 -run 'TestCensus' ./internal/distsched/ ./internal/uts/
 	$(GO) test -race -count=50 -run 'TestRing' ./internal/trace/
+	$(GO) test -race -count=50 -run 'TestQuietWake|TestCloseAfterStolenSweeps' ./internal/hcmpi/
 
 # Cross-transport conformance: the p2p/collectives/RMA/hcmpi/DDDF
 # corpora over both backends (netsim and the TCP loopback mesh), plus

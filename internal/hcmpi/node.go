@@ -235,9 +235,6 @@ type Node struct {
 	comm *mpi.Comm
 	rt   *hc.Runtime
 	cfg  Config
-	// sleepCap caps the dedicated worker's idle sleep: pollSleep, except
-	// in tests that need the worker to oversleep (newNode).
-	sleepCap time.Duration
 
 	worklist  *deque.MPSC[commTask]
 	freelist  *deque.Stack[commTask]
@@ -260,6 +257,12 @@ type Node struct {
 
 	stop    atomic.Bool
 	stopped chan struct{}
+	// asleep is the dedicated worker's wake word (awake, asleepTimed or
+	// asleepQuiet), and wake the one-slot channel it sleeps on: whoever
+	// publishes work only the dedicated worker would find reads the word
+	// after publishing, and kicks a sleeper (progress.go).
+	asleep atomic.Int32
+	wake   chan struct{}
 
 	// Observability: opSeq issues comm-op ids for the trace timeline;
 	// commRing and phaserRing are nil when tracing is disabled. The
@@ -320,22 +323,18 @@ type StatsSnapshot struct {
 
 // NewNode starts an HCMPI process over MPI rank c with cfg.Workers
 // computation workers and one communication worker.
-func NewNode(c *mpi.Comm, cfg Config) *Node { return newNode(c, cfg, pollSleep) }
-
-// newNode is NewNode with the dedicated worker's sleep cap as a
-// parameter, fixed before that worker starts.
-func newNode(c *mpi.Comm, cfg Config, sleepCap time.Duration) *Node {
+func NewNode(c *mpi.Comm, cfg Config) *Node {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
 	n := &Node{
 		comm:      c,
 		cfg:       cfg,
-		sleepCap:  sleepCap,
 		worklist:  deque.NewMPSC[commTask](),
 		freelist:  deque.NewStack[commTask](),
 		commDeque: deque.NewDeque[hc.Task](),
 		stopped:   make(chan struct{}),
+		wake:      make(chan struct{}, 1),
 	}
 	n.rt = hc.NewTraced(cfg.Workers, cfg.Tracer, c.Rank(), n.commDeque)
 	n.tracer = cfg.Tracer
@@ -358,6 +357,7 @@ func newNode(c *mpi.Comm, cfg Config, sleepCap time.Duration) *Node {
 		contended:   m.Counter("comm_progress_contended"),
 	}
 	c.CountResends(n.stats.retries)
+	c.NotifyReserved(n.kick)
 	n.rt.SetIdleProgress(n.idleSweep)
 	go n.commWorker()
 	return n
@@ -428,7 +428,14 @@ func (n *Node) Close() {
 	t.coll.Barrier()
 	n.collective(nil, t)
 
+	n.shutdown()
+}
+
+// shutdown is Close after its barrier: it stops the dedicated worker,
+// waking it if it sleeps, then the computation workers.
+func (n *Node) shutdown() {
 	n.stop.Store(true)
+	n.kick()
 	<-n.stopped
 	n.rt.Shutdown()
 }
@@ -480,13 +487,28 @@ func (n *Node) collTask() *commTask {
 }
 
 // prescribe publishes a fully initialized task to the communication
-// worker.
+// worker. A runtime operation — a reserved tag, a frame, a collective, a
+// listener — kicks a sleeping dedicated worker, since its protocol may
+// have nobody else to drive it; a user send or receive kicks only a
+// quiet one, which would otherwise never poll it.
 func (n *Node) prescribe(t *commTask) {
 	invariant.Assertf(t.State() == StateAllocated,
 		"hcmpi: prescribing a %v task (must come fresh from allocTask)", t.State())
+	// Read before the push: from then on the task is the sweep's, which
+	// may complete and recycle it at once.
+	user := (t.kind == kindIsend || t.kind == kindIrecv) && !reservedTag(t.tag)
 	n.traceState(n.commRing, t, StatePrescribed)
 	n.worklist.Push(t)
+	if !user {
+		n.kick()
+	} else if n.asleep.Load() == asleepQuiet {
+		n.signal()
+	}
 }
+
+// reservedTag reports whether tag is a runtime protocol's: negative, and
+// not the AnyTag wildcard.
+func reservedTag(tag int) bool { return tag < 0 && tag != mpi.AnyTag }
 
 // retire recycles a completed task structure. Only COMPLETED tasks may be
 // recycled: a task still ACTIVE (polled, or advancing a collective
@@ -620,7 +642,7 @@ func (n *Node) dispatch(t *commTask, clk *sweepClock) {
 	case kindIrecv:
 		n.stats.recvs.Add(1)
 		switch {
-		case t.tag < 0 && t.tag != mpi.AnyTag:
+		case reservedTag(t.tag):
 			t.req = n.comm.IrecvReserved(t.peer, t.tag)
 			t.takeAll = true
 		case t.takeAll:

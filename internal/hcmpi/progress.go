@@ -20,7 +20,9 @@ import (
 //   - the dedicated worker (commWorker) sweeps in a loop with an adaptive
 //     idle ladder. It guarantees progress while every computation worker
 //     computes — UTS steal requests, DDDF registrations and timeouts are
-//     answered with nobody idle;
+//     answered with nobody idle. At the bottom of the ladder it sleeps
+//     until work is announced to it (kick), on a timer only while it
+//     holds an operation whose completion nobody announces;
 //   - an idle computation worker sweeps from hc's idle hook before it
 //     backs off (idleSweep), and a task blocked in Wait sweeps for a
 //     small budget before it registers on its request (await). The
@@ -54,11 +56,24 @@ const (
 	// yielding, before it sleeps.
 	idleSpinSweeps  = 32
 	idleYieldSweeps = 64
-	// pollSleep caps the dedicated worker's idle sleep. It bounds
-	// reaction time only while every computation worker is busy: idle
-	// and waiting computation workers drive the same sweep themselves,
-	// without sleeping.
+	// pollSleep caps the dedicated worker's timed sleep, taken only while
+	// the ACTIVE set holds an operation whose completion nobody announces
+	// (a user-tag receive, a send in flight, a collective round). It
+	// bounds reaction time to those only while every computation worker
+	// is busy: idle and waiting computation workers drive the same sweep
+	// themselves, without sleeping.
 	pollSleep = 20 * time.Microsecond
+)
+
+// The dedicated worker's wake word (Node.asleep).
+const (
+	awake = iota
+	// asleepTimed: in the last sweep before a sleep, or in a timed sleep.
+	// Every kick wakes it.
+	asleepTimed
+	// asleepQuiet: blocked on Node.wake with no timer, the worklist and
+	// the ACTIVE set empty. User operations kick it too.
+	asleepQuiet
 )
 
 // sweepClock reads the wall clock at most once per sweep, and only if
@@ -184,48 +199,102 @@ func (n *Node) idleSweep(ctx *hc.Ctx) bool {
 // commWorker is the dedicated communication worker: the paper's Fig. 11
 // worker, reduced to the guarantor of progress. It sweeps whenever the
 // engine is free and otherwise walks an idle ladder — spin, yield, then
-// sleeps doubling up to n.sleepCap (pollSleep). A sweep somebody else
-// is driving is not this worker's progress: losing the try-lock moves it
-// down the ladder like an empty sweep does, so that computation workers
-// polling for their own completions are not fought for the lock and the
-// processor by a goroutine that has nothing to add.
+// sleep until kicked (sleep). A sweep somebody else is driving is not this worker's
+// progress: losing the try-lock moves it down the ladder like an empty
+// sweep does, so that computation workers polling for their own
+// completions are not fought for the lock and the processor by a
+// goroutine that has nothing to add.
 func (n *Node) commWorker() {
 	defer close(n.stopped)
+	timer := time.NewTimer(pollSleep)
+	timer.Stop()
 	idle := 0
 	for {
-		var nextEvent time.Duration
-		var scheduled bool
-		if n.sweepMu.TryLock() {
-			progressed := n.progress()
-			if !progressed {
-				if n.stop.Load() && n.drained() {
-					n.haltListeners()
-					n.sweepMu.Unlock()
-					return
-				}
-				if idle+1 >= idleYieldSweeps { // about to sleep
-					nextEvent, scheduled = n.nextEventIn()
-				}
-			}
-			n.sweepMu.Unlock()
-			if progressed {
-				idle = 0
-				continue
-			}
+		var progressed, done bool
+		if idle < idleYieldSweeps {
+			progressed, done = n.ownSweep()
 		} else {
-			n.stats.contended.Add(1)
+			progressed, done = n.sleep(timer, idle-idleYieldSweeps)
+		}
+		switch {
+		case done:
+			return
+		case progressed:
+			idle = 0
+			continue
 		}
 		idle++
-		switch {
-		case idle < idleSpinSweeps:
-			// Hot spin: a fresh prescription or an in-flight completion is
-			// most likely to land within the next few sweeps.
-		case idle < idleYieldSweeps:
+		if idle >= idleSpinSweeps && idle < idleYieldSweeps {
+			// Hot spin below idleSpinSweeps: a fresh prescription or an
+			// in-flight completion is most likely to land within the next
+			// few sweeps. Past it, yield between sweeps.
 			runtime.Gosched()
-		default:
-			n.idleSleep(idle-idleYieldSweeps, nextEvent, scheduled)
 		}
 	}
+}
+
+// ownSweep is one of the dedicated worker's sweeps, if the engine is
+// free. done reports that the node is stopping with nothing left to
+// finish: the listeners are halted and the worker must exit.
+func (n *Node) ownSweep() (progressed, done bool) {
+	if !n.sweepMu.TryLock() {
+		n.stats.contended.Add(1)
+		return false, false
+	}
+	progressed = n.progress()
+	done = !progressed && n.halted()
+	n.sweepMu.Unlock()
+	return progressed, done
+}
+
+// halted reports whether the node is stopping with nothing left to
+// finish, and if so halts the listeners (sweepMu held, after an empty
+// sweep).
+func (n *Node) halted() bool {
+	if !n.stop.Load() || !n.drained() {
+		return false
+	}
+	n.haltListeners()
+	return true
+}
+
+// sleep is the bottom of the idle ladder. It announces the sleep on the
+// wake word, then makes one last sweep: work published before the
+// announcement is found by that sweep, work published after it sees the
+// word and kicks. With nothing ACTIVE the worker then sleeps quiet —
+// blocked on n.wake with no timer, once a re-check under sweepMu has
+// found the worklist still empty (a user operation kicks only a quiet
+// worker, so one pushed between the sweep and the word's change must be
+// seen here). Otherwise it takes a timed sleep (nap). progressed reports
+// a sweep that moved anything or a kick, either of which restarts the
+// ladder.
+func (n *Node) sleep(timer *time.Timer, rounds int) (progressed, done bool) {
+	n.asleep.Store(asleepTimed)
+	defer n.asleep.Store(awake)
+	if !n.sweepMu.TryLock() {
+		n.stats.contended.Add(1)
+		return n.nap(timer, rounds, 0, false), false
+	}
+	if n.progress() {
+		n.sweepMu.Unlock()
+		return true, false
+	}
+	if n.halted() {
+		n.sweepMu.Unlock()
+		return false, true
+	}
+	if len(n.active) == 0 {
+		n.asleep.Store(asleepQuiet)
+		quiet := n.drained()
+		n.sweepMu.Unlock()
+		if quiet {
+			<-n.wake
+		}
+		return true, false
+	}
+	nextEvent, scheduled := n.nextEventIn()
+	n.sweepMu.Unlock()
+	return n.nap(timer, rounds, nextEvent, scheduled), false
 }
 
 // drained reports whether the engine holds no unfinished operation
@@ -234,27 +303,57 @@ func (n *Node) drained() bool {
 	return n.worklist.Empty() && len(n.active) == 0
 }
 
-// idleSleep parks the idle dedicated worker. The sleep doubles from 1µs
-// per idle round up to n.sleepCap (so a briefly quiet worker reacts in
-// microseconds while a long-idle one settles at the cap),
-// and is additionally clipped to nextEvent when scheduled — the time
-// until the earliest deadline the worker's last sweep saw — so
-// adaptivity never delays a timeout.
-func (n *Node) idleSleep(rounds int, nextEvent time.Duration, scheduled bool) {
-	if rounds > 16 {
-		rounds = 16
-	}
-	d := time.Microsecond << rounds
-	if d > n.sleepCap || d <= 0 {
-		d = n.sleepCap
+// nap is the dedicated worker's timed sleep, cut short by a kick, which
+// it reports. The sleep doubles from 1µs per idle round up to pollSleep
+// (nominally: on Linux any sleep under a millisecond on an idle
+// processor lasts a netpoll tick), and is clipped to nextEvent when
+// scheduled — the time until the earliest deadline the worker's last
+// sweep saw — so adaptivity never delays a timeout. t is the worker's
+// one timer, stopped and drained between naps.
+func (n *Node) nap(t *time.Timer, rounds int, nextEvent time.Duration, scheduled bool) (kicked bool) {
+	d := pollSleep
+	if rounds < 16 {
+		d = min(time.Microsecond<<rounds, pollSleep)
 	}
 	if scheduled && nextEvent < d {
 		if nextEvent <= 0 {
-			return
+			return false
 		}
 		d = nextEvent
 	}
-	time.Sleep(d)
+	t.Reset(d)
+	select {
+	case <-n.wake:
+		if !t.Stop() {
+			select { // fired meanwhile: drop the stale tick
+			case <-t.C:
+			default:
+			}
+		}
+		return true
+	case <-t.C:
+		return false
+	}
+}
+
+// kick wakes the dedicated worker if it sleeps. Whoever publishes work
+// that only the dedicated worker may be left to find calls it after
+// publishing: a runtime prescription, a delivery on a reserved tag
+// (mpi.Comm.NotifyReserved), Close. The wake slot holds one token, so a
+// kick never blocks; a token left by a sleep that ended on its timer
+// costs the next sleep one empty round.
+func (n *Node) kick() {
+	if n.asleep.Load() != awake {
+		n.signal()
+	}
+}
+
+// signal leaves a wake token for the dedicated worker unless one waits.
+func (n *Node) signal() {
+	select {
+	case n.wake <- struct{}{}:
+	default:
+	}
 }
 
 // nextEventIn returns how long until the earliest active-operation

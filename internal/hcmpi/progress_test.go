@@ -135,16 +135,18 @@ func TestChaosProgressContention(t *testing.T) {
 	})
 }
 
-// With the dedicated worker asleep for 20 ms at a time, Close's final
-// barrier is dispatched and published by sweeps that idle computation
-// workers drive. The dedicated worker must still notice the stop flag on
-// its next own sweep and exit, whoever made the last progress.
+// Close returns while the dedicated worker is blocked quiet: the stop
+// flag is followed by a kick, since a quiet worker has no timer to wake
+// it. The job's traffic and Close's barrier, taken here inside the job,
+// are driven by the computation workers' own sweeps; the dedicated
+// worker is then left to sleep quiet before Close's second half
+// (shutdown) stops it.
 func TestCloseAfterStolenSweeps(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		w := mpi.NewWorld(2)
 		done := make(chan StatsSnapshot, 2)
 		go w.Run(func(c *mpi.Comm) {
-			n := newNode(c, Config{Workers: 2}, 20*time.Millisecond)
+			n := NewNode(c, Config{Workers: 2})
 			n.Main(func(ctx *hc.Ctx) {
 				buf := make([]byte, 1)
 				if n.Rank() == 0 {
@@ -152,9 +154,10 @@ func TestCloseAfterStolenSweeps(t *testing.T) {
 				} else {
 					n.Recv(ctx, buf, 0, 0)
 				}
+				n.Barrier(ctx) // Close's barrier: no peer sends after it
 			})
-			time.Sleep(time.Millisecond) // let the dedicated worker reach its long sleep
-			n.Close()
+			waitQuiet(t, n)
+			n.shutdown()
 			done <- n.StatsSnapshot()
 		})
 		for r := 0; r < 2; r++ {
@@ -163,7 +166,7 @@ func TestCloseAfterStolenSweeps(t *testing.T) {
 				if st.ProgressStolen == 0 {
 					t.Errorf("round %d: no stolen sweep before Close returned (%+v)", round, st)
 				}
-			case <-time.After(10 * time.Second):
+			case <-time.After(5 * time.Second):
 				t.Fatalf("round %d: Close did not return", round)
 			}
 		}

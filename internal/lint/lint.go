@@ -193,7 +193,7 @@ func sortFindings(out []Finding) {
 // allowMarker suppresses one finding with a stated reason, either
 // trailing the flagged line or as a full-line comment directly above:
 //
-//	p.cfg.Hooks.OnFirstArrival(myPhase) //hclint:allow Hooks contract: runs under p.mu and must not block
+//	select { //hclint:allow head-of-loop park: the writer sleeps here until a frame wakes it
 const allowMarker = "//hclint:allow"
 
 // allowComment is one //hclint:allow suppression: where it lives, its

@@ -60,6 +60,13 @@ func runLockOrder(pkgs []*Package) []Finding {
 			if e.Go {
 				continue
 			}
+			if e.FuncVal {
+				// Contract boundary, as in nonblocking: a stored function
+				// value resolves to every address-taken func of its
+				// signature in the module, so one call under a lock would
+				// be charged with whatever any of them does.
+				continue
+			}
 			if s.lock != nil && lf.unlocks[e.To][s.lock] {
 				// Lock-aware callee (the *Locked helper convention): it
 				// unlocks this very mutex itself, so whatever blocking it

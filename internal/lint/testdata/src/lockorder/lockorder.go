@@ -111,3 +111,37 @@ func (q *queue) drainLocked() {
 	<-q.wake
 	q.mu.Lock()
 }
+
+// hooked pairs a direct blocking call under a lock with a call through a
+// stored function value. The value resolves, by signature, to every
+// address-taken func() in the module — the blocking literal newHooked
+// installs among them — so following it would charge one call with
+// whatever any of them does. Like nonblocking, the analyzer stops there:
+// the value's contract is its own.
+type hooked struct {
+	mu   sync.Mutex
+	hook func()
+	sig  chan int
+}
+
+func newHooked() *hooked {
+	h := &hooked{sig: make(chan int)}
+	h.hook = func() { <-h.sig }
+	return h
+}
+
+// direct blocks under mu through a named call.
+func (h *hooked) direct() {
+	h.mu.Lock()
+	h.park() // want: mu held across call to park, which can block
+	h.mu.Unlock()
+}
+
+func (h *hooked) park() { <-h.sig }
+
+// viaValue calls the stored hook under mu: a contract boundary.
+func (h *hooked) viaValue() {
+	h.mu.Lock()
+	h.hook() // ok: a stored function value is not followed
+	h.mu.Unlock()
+}

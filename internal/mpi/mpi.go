@@ -228,6 +228,9 @@ type Comm struct {
 	// retransmissions of dropped messages to (CountResends); nil until a
 	// runtime installs one.
 	resends atomic.Pointer[trace.Counter]
+	// onReserved is called after every delivery on a reserved tag
+	// (NotifyReserved); nil until a runtime installs it.
+	onReserved atomic.Pointer[func()]
 
 	// metrics is the endpoint's counter registry: the world's for netsim
 	// comms, the mesh's for distributed comms.
@@ -243,6 +246,13 @@ func (c *Comm) Metrics() *trace.Metrics { return c.metrics }
 // endpoint's metrics registry is the world's on netsim, shared by every
 // rank).
 func (c *Comm) CountResends(ctr *trace.Counter) { c.resends.Store(ctr) }
+
+// NotifyReserved makes every later message that arrives on a reserved
+// (negative) tag call fn once it has been matched to a posted receive or
+// queued as unexpected: a runtime whose progress engine sleeps between
+// sweeps wakes it this way (RMA tags, applied on delivery, excepted). fn
+// runs on the delivering goroutine and must not block.
+func (c *Comm) NotifyReserved(fn func()) { c.onReserved.Store(&fn) }
 
 // Buffers exposes the transport's payload pool, for runtime protocols
 // that build messages in place and send them with IsendReservedOwned.

@@ -769,12 +769,23 @@ func (c *Comm) deliver(m inMsg) {
 			c.arrived.Broadcast()
 			c.mu.Unlock()
 			req.fill(m)
+			c.announce(m.tag)
 			return
 		}
 	}
 	c.unexpected = append(c.unexpected, m)
 	c.arrived.Broadcast()
 	c.mu.Unlock()
+	c.announce(m.tag)
+}
+
+// announce calls the NotifyReserved hook for a delivery on tag.
+func (c *Comm) announce(tag int) {
+	if tag < 0 {
+		if fn := c.onReserved.Load(); fn != nil {
+			(*fn)()
+		}
+	}
 }
 
 func match(wantSrc, wantTag, src, tag int) bool {

@@ -75,11 +75,12 @@ func (t *Team) Parallel(body func(tc *TC)) {
 // barrier).
 func (tc *TC) Barrier() { tc.reg.bar.Wait() }
 
-// Critical runs f under the region's critical-section lock.
+// Critical runs f under the region's critical-section lock. Whether f
+// may block is the caller's contract, as in OpenMP.
 func (tc *TC) Critical(f func()) {
 	tc.reg.crit.Lock()
 	defer tc.reg.crit.Unlock()
-	f() //hclint:allow user-supplied critical-section body; blocking under crit is the caller's contract, as in OpenMP
+	f()
 }
 
 // Single runs f on exactly one thread of the region (#pragma omp single

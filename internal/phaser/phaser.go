@@ -197,7 +197,7 @@ func (r *Reg) Signal() {
 	p.arrived++
 	p.cfg.Trace.Emit(trace.EvPhaserSignal, myPhase, int64(p.arrived))
 	if p.arrived == 1 && p.cfg.Hooks.OnFirstArrival != nil {
-		p.cfg.Hooks.OnFirstArrival(myPhase) //hclint:allow Hooks contract: OnFirstArrival runs under p.mu and must not block
+		p.cfg.Hooks.OnFirstArrival(myPhase)
 	}
 	p.checkCompleteLocked()
 }
@@ -250,7 +250,7 @@ func (r *Reg) next(v any, hasVal bool) {
 		}
 	}
 	if p.arrived == 1 && p.cfg.Hooks.OnFirstArrival != nil {
-		p.cfg.Hooks.OnFirstArrival(myPhase) //hclint:allow Hooks contract: OnFirstArrival runs under p.mu and must not block
+		p.cfg.Hooks.OnFirstArrival(myPhase)
 	}
 	released := p.checkCompleteLocked()
 
