@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 tier1-debug verify test chaos soak lint vet trace-demo bench bench-smoke conformance smoke-distributed
+.PHONY: tier1 tier1-debug verify test chaos soak soak-msgflood lint vet trace-demo bench bench-smoke conformance smoke-distributed
 
 # Fast correctness gate: what the seed repo guarantees.
 tier1:
@@ -54,6 +54,26 @@ soak:
 	$(GO) test -race -count=200 -run 'TestCensus' ./internal/distsched/ ./internal/uts/
 	$(GO) test -race -count=50 -run 'TestRing' ./internal/trace/
 	$(GO) test -race -count=50 -run 'TestQuietWake|TestCloseAfterStolenSweeps' ./internal/hcmpi/
+
+# Twenty traced msgflood_8b runs (seeds 1-20), the shape in which one
+# traced run in twelve once hung with its stderr lost. The benchmark is
+# built once; each run is bounded at 300 s, so a hang ends in exit 124
+# instead of stalling the loop, and each run's stdout and stderr stay in
+# a temporary directory. A non-zero exit or a "correct":false result
+# line fails the target and prints that run's stderr tail.
+soak-msgflood:
+	@dir=$$(mktemp -d /tmp/hcmpi-soak-msgflood.XXXXXX); \
+	$(GO) build -o $$dir/hcbench ./benchmark || exit 1; \
+	for n in $$(seq 1 20); do \
+		timeout 300 $$dir/hcbench --workload msgflood_8b --trace 1 --seconds 8 --seed $$n \
+			>$$dir/seed$$n.out 2>$$dir/seed$$n.err; rc=$$?; \
+		if [ $$rc -ne 0 ] || grep -q '"correct":false' $$dir/seed$$n.out; then \
+			echo "soak-msgflood: seed $$n failed (exit $$rc); logs in $$dir"; \
+			tail -n 40 $$dir/seed$$n.err; exit 1; \
+		fi; \
+		echo "soak-msgflood: seed $$n ok"; \
+	done; \
+	echo "soak-msgflood: 20 runs ok; logs in $$dir"
 
 # Cross-transport conformance: the p2p/collectives/RMA/hcmpi/DDDF
 # corpora over both backends (netsim and the TCP loopback mesh), plus

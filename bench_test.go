@@ -576,6 +576,29 @@ func BenchmarkDistUTSImbalanced(b *testing.B) {
 	b.ReportMetric(float64(t1)/float64(t4), "speedup")
 }
 
+// BenchmarkMPIMessage is the mpi rung's per-message cost with nothing
+// above it: one goroutine posts an 8-byte Irecv on rank 1 and the
+// matching Isend on rank 0 over the default netsim interconnect, waits
+// on both and frees both. No hcmpi task, worker or sweep takes part, so
+// what it times is the request, send-op and payload pools, the matching
+// queues and their locks.
+func BenchmarkMPIMessage(b *testing.B) {
+	w := mpi.NewWorld(2)
+	defer w.Close()
+	c0, c1 := w.Comm(0), w.Comm(1)
+	msg, buf := make([]byte, 8), make([]byte, 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := c1.Irecv(buf, 0, 7)
+		s := c0.Isend(msg, 1, 7)
+		r.WaitStatus()
+		s.WaitStatus()
+		r.Free()
+		s.Free()
+	}
+}
+
 // BenchmarkTCPRoundTrip measures one Isend+Irecv ping-pong across the
 // real TCP transport (a same-process two-rank loopback mesh; every
 // message crosses actual sockets). This is the wire path's headline

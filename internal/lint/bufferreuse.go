@@ -56,11 +56,10 @@ func runBufferReuse(pkgs []*Package) []Finding {
 }
 
 // postBufferArg returns the buffer argument of a post call: the first
-// argument for the buffered posts, none for Ibarrier/IrecvAdopt/
-// IrecvBytes/Get.
+// argument for the buffered posts, none for IrecvAdopt/IrecvBytes/Get.
 func postBufferArg(fn *types.Func, call *ast.CallExpr) (ast.Expr, bool) {
 	switch fn.Name() {
-	case "Isend", "Irecv", "Ibcast", "Iallreduce", "Put", "Accumulate":
+	case "Isend", "Irecv", "Put", "Accumulate":
 		if len(call.Args) > 0 {
 			return call.Args[0], true
 		}
@@ -507,15 +506,14 @@ func payloadRetention(p *Package, sig *ast.FuncType, body *ast.BlockStmt) []Find
 // *Request, whose buffer the transport owns until it completes.
 var postMethodNames = map[string]bool{
 	"Isend": true, "Irecv": true, "IrecvAdopt": true, "IrecvBytes": true,
-	"Ibarrier": true, "Ibcast": true, "Iallreduce": true,
 }
 
 // completeMethodNames complete (or take over) a posted request. DDF is
 // here because handing a request's DDF to an await transfers completion
 // to the enclosing finish scope (the paper's Fig. 3 idiom).
 var completeMethodNames = map[string]bool{
-	"Wait": true, "WaitErr": true, "WaitTimeout": true, "WaitStatus": true,
-	"Test": true, "TestStatus": true, "Free": true, "Cancel": true, "Done": true,
+	"Wait": true, "WaitStatus": true,
+	"Test": true, "TestStatus": true, "Free": true, "Cancel": true,
 	"DDF": true,
 }
 

@@ -44,9 +44,7 @@ var CollectiveDivergence = &Analyzer{
 var collectiveNames = map[string]bool{
 	"Barrier": true, "Bcast": true, "Reduce": true, "Allreduce": true,
 	"Scan": true, "Scatter": true, "Gather": true, "Allgather": true,
-	"Alltoall": true, "Gatherv": true, "Allgatherv": true, "Alltoallv": true,
-	"ReduceScatter": true, "Scatterv": true, "BcastValue": true,
-	"Ibarrier": true, "Ibcast": true, "Iallreduce": true, "Fence": true,
+	"Fence": true,
 }
 
 // collectiveCallOf reports whether call invokes a collective: a method

@@ -51,7 +51,7 @@ var tagSendCallees = map[string]bool{
 }
 var tagRecvCallees = map[string]bool{
 	"Recv": true, "Irecv": true, "IrecvReserved": true, "Listen": true,
-	"Probe": true, "Iprobe": true,
+	"Iprobe": true,
 }
 
 // ownerPath normalizes a package path for ownership comparison: the

@@ -1,9 +1,6 @@
 package mpi
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // TestPooledP2PAllocFree pins the pooled Isend/Irecv fast path at zero
 // allocations per round trip once the request, send-op, and payload
@@ -92,41 +89,5 @@ func TestWaitAllInto(t *testing.T) {
 		if st.Err != nil || st.Tag != i {
 			t.Fatalf("round 2 sts[%d] = %+v", i, st)
 		}
-	}
-}
-
-// TestWaitAnyNoGoroutines runs repeated WaitAny rounds where completion
-// arrives only after the waiter has parked, exercising the pooled
-// notification channel's register/wake/drain cycle.
-func TestWaitAnyNoGoroutines(t *testing.T) {
-	w := NewWorld(2)
-	defer w.Close()
-	c0, c1 := w.Comm(0), w.Comm(1)
-	for round := 0; round < 50; round++ {
-		bufA := make([]byte, 4)
-		bufB := make([]byte, 4)
-		ra := c1.Irecv(bufA, 0, 1)
-		rb := c1.Irecv(bufB, 0, 2)
-		tag := 1 + round%2
-		go func() {
-			time.Sleep(100 * time.Microsecond)
-			c0.Send([]byte{9}, 1, tag)
-		}()
-		i, st := WaitAny(ra, rb)
-		if want := tag - 1; i != want {
-			t.Fatalf("round %d: WaitAny index %d want %d", round, i, want)
-		}
-		if st.Err != nil || st.Bytes != 1 {
-			t.Fatalf("round %d: status %+v", round, st)
-		}
-		// Drain the loser so the next round starts clean.
-		other := ra
-		if i == 0 {
-			other = rb
-		}
-		c0.Send([]byte{9}, 1, 2-round%2)
-		other.WaitStatus()
-		ra.Free()
-		rb.Free()
 	}
 }

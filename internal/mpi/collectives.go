@@ -82,15 +82,6 @@ func (c *Comm) Allgather(data []byte) [][]byte {
 	return s.out
 }
 
-// Alltoall sends parts[r] to rank r and returns the slice of parts
-// received, indexed by source rank.
-func (c *Comm) Alltoall(parts [][]byte) [][]byte {
-	var s Schedule
-	s.Alltoall(parts)
-	c.run(&s)
-	return s.out
-}
-
 // Barrier describes a barrier.
 func (s *Schedule) Barrier() { s.describe(algBarrier) }
 
@@ -135,12 +126,6 @@ func (s *Schedule) Gather(data []byte, root int) {
 func (s *Schedule) Allgather(data []byte) {
 	s.describe(algAllgather)
 	s.data = data
-}
-
-// Alltoall describes an all-to-all exchange of parts.
-func (s *Schedule) Alltoall(parts [][]byte) {
-	s.describe(algAlltoall)
-	s.parts = parts
 }
 
 // The step functions below run an algorithm from its current position —
@@ -289,9 +274,8 @@ func (s *Schedule) gather() bool {
 	return true
 }
 
-// exchange is the linear all-to-all under Allgather (every rank's data
-// to every rank) and Alltoall (parts[r] to rank r): one round that posts
-// a receive from and a send to every other rank.
+// exchange is the linear allgather: one round that posts a receive from
+// and a send of data to every other rank.
 func (s *Schedule) exchange() bool {
 	c := s.c
 	if s.phase == 1 {
@@ -300,25 +284,14 @@ func (s *Schedule) exchange() bool {
 	}
 	s.phase = 1
 	tag := collTag(s.seq, 5)
-	if s.alg == algAlltoall {
-		tag = collTag(s.seq, 6)
-	}
-	s.out = s.own(s.partFor(c.rank))
+	s.out = s.own(s.data)
 	for r := range s.out {
 		if r != c.rank {
 			s.recvAdopt(r, tag)
-			s.send(s.partFor(r), r, tag)
+			s.send(s.data, r, tag)
 		}
 	}
 	return false
-}
-
-// partFor is what an exchange sends rank r.
-func (s *Schedule) partFor(r int) []byte {
-	if s.alg == algAlltoall {
-		return s.parts[r]
-	}
-	return s.data
 }
 
 // own starts a gather-style result: one slot per rank, this rank's

@@ -1,42 +1,31 @@
 // Package mpi is a from-scratch message-passing substrate with the
 // semantics HCMPI needs from an MPI library: ranks, communicators, tags
 // with wildcards, non-overtaking point-to-point matching with posted and
-// unexpected queues, non-blocking requests with Test/Wait/Cancel, blocking
-// collectives, and the MPI threading modes.
+// unexpected queues, non-blocking requests with Test/Wait/Cancel,
+// collectives as schedules, and fence-synchronized RMA.
 //
 // Go has no mature MPI bindings, so "processes" are goroutine groups
 // inside one OS process and the interconnect is the pipe model in
 // package netsim (see DESIGN.md §2 for why this substitution preserves
-// the behaviours the paper's evaluation depends on). The thread-multiple
-// mode serializes every call on a real per-rank mutex — the same mechanism
-// the paper identifies as the cost of MPI_THREAD_MULTIPLE.
+// the behaviours the paper's evaluation depends on). Every entry point
+// may be called from any goroutine: an endpoint's matching queues,
+// request pool and send-op pool each sit behind their own mutex, so
+// concurrent callers pay the real contention on those locks and no
+// modelled cost. HCMPI itself funnels every call through one
+// communication worker per rank.
 package mpi
 
 import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"hcmpi/internal/bufpool"
 	"hcmpi/internal/netsim"
 	"hcmpi/internal/trace"
 )
 
-// ThreadMode mirrors MPI's thread support levels.
-type ThreadMode int
-
-const (
-	// ThreadSingle: only one thread per rank makes MPI calls; no entry
-	// lock is taken. This is the mode HCMPI runs in, because all calls
-	// are funneled through the dedicated communication worker.
-	ThreadSingle ThreadMode = iota
-	// ThreadMultiple: any thread may call; every call serializes on the
-	// rank's library lock and pays a per-call critical-section cost.
-	ThreadMultiple
-)
-
-// Wildcards for Recv/Irecv/Probe matching.
+// Wildcards for Recv/Irecv/Iprobe matching.
 const (
 	AnySource = -1
 	AnyTag    = -1
@@ -54,11 +43,6 @@ type Options struct {
 	// "MPI everywhere" runs with several ranks per physical node.
 	// Default 1 (every rank its own node).
 	RanksPerNode int
-	// ThreadMode is the requested thread support level.
-	ThreadMode ThreadMode
-	// ThreadOverhead is the extra critical-section time per call in
-	// ThreadMultiple mode, modelling the library's internal locking work.
-	ThreadOverhead time.Duration
 	// Faults, when non-nil, installs a deterministic fault-injection
 	// schedule on the interconnect (see netsim.Faults). Zero-valued
 	// faults inject nothing and cost nothing.
@@ -77,13 +61,6 @@ func WithNetwork(p netsim.Params) Option { return func(o *Options) { o.Net = p }
 
 // WithRanksPerNode places k consecutive ranks per node.
 func WithRanksPerNode(k int) Option { return func(o *Options) { o.RanksPerNode = k } }
-
-// WithThreadMode selects the threading mode.
-func WithThreadMode(m ThreadMode) Option { return func(o *Options) { o.ThreadMode = m } }
-
-// WithThreadOverhead sets the modelled per-call lock-held overhead for
-// ThreadMultiple mode.
-func WithThreadOverhead(d time.Duration) Option { return func(o *Options) { o.ThreadOverhead = d } }
 
 // WithFaults installs a deterministic fault-injection schedule on the
 // world's interconnect.
@@ -179,16 +156,8 @@ type Comm struct {
 	// failedFn reports whether a peer rank has crashed (nil: no failure
 	// detector).
 	failedFn func(rank int) bool
-	// deadline is the default per-operation deadline in nanoseconds
-	// (Comm.SetDeadline); 0 disables it.
-	deadline atomic.Int64
-
-	threadMode     ThreadMode
-	threadOverhead time.Duration
-
 	// matching state, guarded by mu.
 	mu         sync.Mutex
-	arrived    *sync.Cond // broadcast on every delivery, for Probe
 	posted     []*Request // pending receive requests, post order
 	unexpected []inMsg    // unmatched arrived messages, arrival order
 
@@ -196,10 +165,6 @@ type Comm struct {
 	// collectives never cross-match; all ranks call collectives in the
 	// same order, so the counters agree.
 	collSeq int
-
-	// callMu is the MPI library entry lock, taken per call in
-	// ThreadMultiple mode.
-	callMu sync.Mutex
 
 	// RMA window registry (guarded by mu).
 	wins    map[int]*Win
@@ -268,10 +233,8 @@ type inMsg struct {
 }
 
 func newComm(w *World, rank int) *Comm {
-	c := &Comm{world: w, rank: rank, size: w.n, node: w.net.NodeOf(rank),
-		threadMode: w.opts.ThreadMode, threadOverhead: w.opts.ThreadOverhead}
+	c := &Comm{world: w, rank: rank, size: w.n, node: w.net.NodeOf(rank)}
 	c.ring = w.opts.Tracer.Register(rank, trace.MPITid, "mpi", trace.TrackMPI)
-	c.arrived = sync.NewCond(&c.mu)
 	c.metrics = w.metrics
 	c.bufs = w.net.Buffers()
 	c.fastSend = w.opts.Faults == nil || w.opts.Faults.DupProb <= 0
@@ -289,24 +252,6 @@ func (c *Comm) Size() int { return c.size }
 
 // Node returns the node id hosting this rank.
 func (c *Comm) Node() int { return c.node }
-
-// enter models the MPI library entry for the configured thread mode; it
-// returns a function that exits the library.
-func (c *Comm) enter() func() {
-	if c.threadMode != ThreadMultiple {
-		return func() {}
-	}
-	c.callMu.Lock()
-	if oh := c.threadOverhead; oh > 0 {
-		// Hold the lock for the modelled critical-section time; this is
-		// what makes concurrent callers queue up, exactly the effect the
-		// paper's message-rate test exposes.
-		deadline := time.Now().Add(oh)
-		for time.Now().Before(deadline) {
-		}
-	}
-	return c.callMu.Unlock
-}
 
 func checkUserTag(tag int) {
 	if tag < 0 || tag >= maxUserTag {

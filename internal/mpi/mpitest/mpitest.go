@@ -83,40 +83,3 @@ func runTCP(t testing.TB, ranks int, body func(c *mpi.Comm)) {
 		t.Fatal(err)
 	}
 }
-
-// Mesh brings up a same-process TCP loopback mesh and hands every
-// rank's Comm back to the caller (for tests that drive several
-// endpoints from one goroutine: allocation pins, benchmarks). Call the
-// returned close function to tear the mesh down.
-func Mesh(t testing.TB, ranks int, opts ...mpi.DistOption) ([]*mpi.Comm, func()) {
-	t.Helper()
-	addrs := FreeAddrs(t, ranks)
-	comms := make([]*mpi.Comm, ranks)
-	closers := make([]interface{ Close() error }, ranks)
-	var wg sync.WaitGroup
-	errs := make(chan error, ranks)
-	for r := 0; r < ranks; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			c, closer, err := mpi.Distributed(r, addrs, opts...)
-			if err != nil {
-				errs <- fmt.Errorf("rank %d: %w", r, err)
-				return
-			}
-			comms[r], closers[r] = c, closer
-		}(r)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	return comms, func() {
-		for _, cl := range closers {
-			if cl != nil {
-				cl.Close()
-			}
-		}
-	}
-}

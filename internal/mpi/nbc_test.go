@@ -8,13 +8,24 @@ import (
 	"hcmpi/internal/netsim"
 )
 
+// Non-blocking collectives are started Schedules, built the way hcmpi's
+// collective tasks build them: describe, Start, then Test or Wait.
+
+// start describes a collective on a fresh schedule and starts it on c.
+func start(c *Comm, describe func(s *Schedule)) *Schedule {
+	s := &Schedule{}
+	describe(s)
+	s.Start(c)
+	return s
+}
+
 func TestIbarrierCompletes(t *testing.T) {
 	const n = 4
 	var passed atomic.Int32
 	w := NewWorld(n, WithNetwork(netsim.Params{InterLatency: 100 * time.Microsecond}))
 	w.Run(func(c *Comm) {
 		passed.Add(1)
-		req := c.Ibarrier()
+		req := start(c, (*Schedule).Barrier)
 		// Do useful work while the barrier progresses.
 		local := 0
 		for i := 0; i < 1000; i++ {
@@ -32,7 +43,7 @@ func TestIbarrierOverlapsComputation(t *testing.T) {
 	// Test() is false right after posting under latency.
 	w := NewWorld(2, WithNetwork(netsim.Params{InterLatency: 2 * time.Millisecond}))
 	w.Run(func(c *Comm) {
-		req := c.Ibarrier()
+		req := start(c, (*Schedule).Barrier)
 		if _, ok := req.Test(); ok {
 			t.Error("Ibarrier complete before latency elapsed")
 		}
@@ -48,7 +59,7 @@ func TestIbcast(t *testing.T) {
 		if c.Rank() == 2 {
 			copy(buf, EncodeInt64(4242))
 		}
-		c.Ibcast(buf, 2).Wait()
+		start(c, func(s *Schedule) { s.Bcast(buf, 2) }).Wait()
 		if got := DecodeInt64(buf); got != 4242 {
 			t.Errorf("rank %d got %d", c.Rank(), got)
 		}
@@ -59,7 +70,7 @@ func TestIallreduce(t *testing.T) {
 	const n = 6
 	w := NewWorld(n)
 	w.Run(func(c *Comm) {
-		req := c.Iallreduce(EncodeInt64(int64(c.Rank()+1)), Int64, OpSum)
+		req := start(c, func(s *Schedule) { s.Allreduce(EncodeInt64(int64(c.Rank()+1)), Int64, OpSum) })
 		st := req.Wait()
 		if st.Bytes != 8 {
 			t.Errorf("status %+v", st)
@@ -71,18 +82,19 @@ func TestIallreduce(t *testing.T) {
 }
 
 func TestNonBlockingMixedWithBlockingCollectives(t *testing.T) {
-	// All ranks issue the same order: Ibarrier, Allreduce, Ibcast —
+	// All ranks issue the same order: a started barrier, a blocking
+	// Allreduce, a started bcast —
 	// sequence numbers keep them separate even while overlapping.
 	const n = 4
 	w := NewWorld(n)
 	w.Run(func(c *Comm) {
-		b := c.Ibarrier()
+		b := start(c, (*Schedule).Barrier)
 		sum := DecodeInt64(c.Allreduce(EncodeInt64(1), Int64, OpSum))
 		buf := make([]byte, 8)
 		if c.Rank() == 0 {
 			copy(buf, EncodeInt64(7))
 		}
-		bc := c.Ibcast(buf, 0)
+		bc := start(c, func(s *Schedule) { s.Bcast(buf, 0) })
 		b.Wait()
 		bc.Wait()
 		if sum != n || DecodeInt64(buf) != 7 {
@@ -98,7 +110,7 @@ func TestManyConcurrentIbarriers(t *testing.T) {
 	w.Run(func(c *Comm) {
 		reqs := make([]*Schedule, k)
 		for i := range reqs {
-			reqs[i] = c.Ibarrier()
+			reqs[i] = start(c, (*Schedule).Barrier)
 		}
 		for _, r := range reqs {
 			r.Wait()
@@ -111,7 +123,7 @@ func TestIallreduceVector(t *testing.T) {
 	w := NewWorld(n)
 	w.Run(func(c *Comm) {
 		vec := []int64{int64(c.Rank()), 10}
-		req := c.Iallreduce(EncodeInt64s(vec), Int64, OpSum)
+		req := start(c, func(s *Schedule) { s.Allreduce(EncodeInt64s(vec), Int64, OpSum) })
 		req.Wait()
 		got := DecodeInt64s(req.Payload())
 		if got[0] != 3 || got[1] != 30 {

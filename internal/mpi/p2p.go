@@ -3,7 +3,6 @@ package mpi
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"hcmpi/internal/invariant"
 	"hcmpi/internal/trace"
@@ -18,8 +17,9 @@ type Status struct {
 	Truncated bool // the receive buffer was smaller than the message
 	Cancelled bool
 	// Err is non-nil when the operation did not complete normally:
-	// ErrTimeout (deadline exceeded), ErrRankFailed (peer crashed), or
-	// ErrMessageDropped (lossy network discarded the send).
+	// ErrRankFailed (peer crashed) or ErrMessageDropped (lossy network
+	// discarded the send). A runtime that withdraws an operation on its
+	// own deadline (hcmpi's OpTimeout) reports ErrTimeout here.
 	Err error
 }
 
@@ -35,7 +35,7 @@ const (
 //
 // Requests are pooled per endpoint: a caller that has observed
 // completion may hand the request back with Free, and stale async
-// references (deadline timers, in-flight network callbacks) are fenced
+// references (in-flight network callbacks, queued TCP frames) are fenced
 // off by the generation counter — they captured the generation at issue
 // time and become no-ops once Free bumps it.
 type Request struct {
@@ -46,12 +46,11 @@ type Request struct {
 	// it at issue time and check it before touching the request.
 	gen atomic.Uint64
 
+	// mu guards completion (completed, status, done) and Free's reset.
 	mu        sync.Mutex
 	done      chan struct{} // lazily created; nil until someone blocks
 	completed bool          // authoritative, guarded by mu
 	status    Status
-	timer     *time.Timer     // pending deadline, stopped on completion
-	waiters   []chan struct{} // WaitAny registrations, notified on completion
 
 	// completedFlag mirrors completed for lock-free Test/isDone; the
 	// atomic store in complete orders the status write before it.
@@ -105,11 +104,7 @@ func (r *Request) Free() {
 		invariant.Assert(false, "mpi: Free of an incomplete request")
 		return
 	}
-	r.gen.Add(1) // fence off stale timers and network callbacks
-	if r.timer != nil {
-		r.timer.Stop()
-		r.timer = nil
-	}
+	r.gen.Add(1) // fence off stale network callbacks
 	r.completed = false
 	r.completedFlag.Store(false)
 	r.done = nil
@@ -118,7 +113,6 @@ func (r *Request) Free() {
 	r.payload = nil
 	r.pooled = false
 	r.takeAll = false
-	r.waiters = r.waiters[:0]
 	r.mu.Unlock()
 
 	c := r.comm
@@ -131,9 +125,9 @@ func (r *Request) Free() {
 
 // complete publishes the request's final status. It is single-assignment:
 // the first caller wins, every later caller is a no-op. Paths that could
-// otherwise race on a receive (matching delivery, Cancel, deadline
-// expiry, peer failure) are already serialized through Comm.unpost, which
-// picks the deterministic winner before complete is reached.
+// otherwise race on a receive (matching delivery, Cancel, peer failure)
+// are already serialized through Comm.unpost, which picks the
+// deterministic winner before complete is reached.
 func (r *Request) complete(st Status) {
 	r.mu.Lock()
 	r.completeLocked(st)
@@ -157,20 +151,9 @@ func (r *Request) completeLocked(st Status) bool {
 	r.status = st
 	r.completed = true
 	r.completedFlag.Store(true)
-	if r.timer != nil {
-		r.timer.Stop()
-		r.timer = nil
-	}
 	if r.done != nil {
 		close(r.done)
 	}
-	for _, ch := range r.waiters {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
-	}
-	r.waiters = r.waiters[:0]
 	return true
 }
 
@@ -201,38 +184,6 @@ var closedChan = func() chan struct{} {
 	close(ch)
 	return ch
 }()
-
-// addWaiter registers a completion-notification channel (cap >= 1); if
-// the request is already complete the token is delivered immediately.
-func (r *Request) addWaiter(ch chan struct{}) {
-	r.mu.Lock()
-	if r.completed {
-		r.mu.Unlock()
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
-		return
-	}
-	r.waiters = append(r.waiters, ch)
-	r.mu.Unlock()
-}
-
-// removeWaiter drops a registration (no-op if completion already
-// cleared it).
-func (r *Request) removeWaiter(ch chan struct{}) {
-	r.mu.Lock()
-	for i, w := range r.waiters {
-		if w == ch {
-			r.waiters = append(r.waiters[:i], r.waiters[i+1:]...)
-			break
-		}
-	}
-	r.mu.Unlock()
-}
-
-// Done exposes the completion channel so runtimes can select over it.
-func (r *Request) Done() <-chan struct{} { return r.doneChan() }
 
 // Test reports whether the operation has completed, without blocking.
 func (r *Request) Test() (*Status, bool) {
@@ -292,10 +243,10 @@ func (r *Request) FreeWithPayload() {
 
 // unpost removes r from the posted-receive queue and reports whether the
 // caller won it. The posted queue is the single commit point for receive
-// completion: a matching delivery, a Cancel, a deadline expiry, and a
-// peer-failure sweep each claim the request by removing it under c.mu,
-// and only the winner completes it — every loser observes the request
-// already gone and becomes a no-op. This makes the winner deterministic
+// completion: a matching delivery, a Cancel and a peer-failure sweep
+// each claim the request by removing it under c.mu, and only the winner
+// completes it — every loser observes the request already gone and
+// becomes a no-op. This makes the winner deterministic
 // (c.mu acquisition order) instead of racing on Request.complete.
 func (c *Comm) unpost(r *Request) bool {
 	c.mu.Lock()
@@ -312,32 +263,11 @@ func (c *Comm) unpost(r *Request) bool {
 	return false
 }
 
-// unpostGen is unpost fenced by a generation: a stale caller (a timer
-// that outlived a freed-and-reissued request) never withdraws the new
-// incarnation's posting. Holding c.mu pins the generation — a request
-// present in the posted queue is incomplete, and only completed
-// requests can be freed.
-func (c *Comm) unpostGen(r *Request, gen uint64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if r.gen.Load() != gen {
-		return false
-	}
-	for i, pr := range c.posted {
-		if pr == r {
-			invariant.Assert(!r.isDone(), "mpi: unpost won a request that is already complete")
-			c.posted = append(c.posted[:i], c.posted[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
 // Cancel attempts to cancel the operation. Only posted-but-unmatched
 // receives can be cancelled; eager sends are already complete or in
 // flight. It reports whether the cancellation took effect. Cancel racing
-// a matching delivery (or a timeout) loses cleanly: whoever unposts the
-// request first owns its completion.
+// a matching delivery loses cleanly: whoever unposts the request first
+// owns its completion.
 func (r *Request) Cancel() bool {
 	if r.kind != reqRecv {
 		return false
@@ -373,75 +303,6 @@ func WaitAllInto(sts []Status, reqs ...*Request) []Status {
 	return sts
 }
 
-// waitChPool recycles the single notification channel WaitAny parks on;
-// channels are returned drained.
-var waitChPool = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
-
-// WaitAny blocks until at least one request completes and returns its
-// index and status. With several already complete, the lowest index wins.
-//
-// Rather than spawning a goroutine per request to fan completion
-// channels in, WaitAny registers one pooled cap-1 channel on every
-// request's waiter list and rescans on each wake — zero goroutines and,
-// past the first few calls, zero allocations.
-func WaitAny(reqs ...*Request) (int, *Status) {
-	if len(reqs) == 0 {
-		return -1, nil
-	}
-	for i, r := range reqs {
-		if st, ok := r.Test(); ok {
-			return i, st
-		}
-	}
-	ch := waitChPool.Get().(chan struct{})
-	for _, r := range reqs {
-		r.addWaiter(ch)
-	}
-	defer func() {
-		for _, r := range reqs {
-			r.removeWaiter(ch)
-		}
-		// Drain any token delivered between the winning scan and the
-		// deregistration above, so the pooled channel starts empty.
-		select {
-		case <-ch:
-		default:
-		}
-		waitChPool.Put(ch)
-	}()
-	for {
-		for i, r := range reqs {
-			if st, ok := r.Test(); ok {
-				return i, st
-			}
-		}
-		<-ch
-	}
-}
-
-// TestAll reports whether all requests have completed.
-func TestAll(reqs ...*Request) ([]*Status, bool) {
-	sts := make([]*Status, len(reqs))
-	for i, r := range reqs {
-		st, ok := r.Test()
-		if !ok {
-			return nil, false
-		}
-		sts[i] = st
-	}
-	return sts, true
-}
-
-// TestAny reports the first completed request, if any.
-func TestAny(reqs ...*Request) (int, *Status, bool) {
-	for i, r := range reqs {
-		if st, ok := r.Test(); ok {
-			return i, st, true
-		}
-	}
-	return -1, nil, false
-}
-
 // Isend starts a non-blocking send of buf to dest with the given tag. The
 // buffer is copied eagerly, so the caller may reuse it immediately; the
 // request completes when the message has traversed the link and arrived
@@ -456,7 +317,7 @@ func (c *Comm) Isend(buf []byte, dest, tag int) *Request {
 // isend is the tag-unchecked variant used by collectives and runtime
 // protocols (which use reserved tags).
 func (c *Comm) isend(buf []byte, dest, tag int) *Request {
-	return c.isendOpts(buf, dest, tag, false, 0)
+	return c.isendOpts(buf, dest, tag, false)
 }
 
 // maxResends bounds how many times the send core retransmits a message
@@ -530,8 +391,8 @@ func (s *sendOp) Deliver() {
 	s.release()
 }
 
-// Drop classifies a network drop. A request already dead (deadline, or
-// freed) is left alone, one to a crashed peer fails with ErrRankFailed,
+// Drop classifies a network drop. A request already complete or freed
+// is left alone, one to a crashed peer fails with ErrRankFailed,
 // and the rest are retransmitted while resends are left and fail with
 // ErrMessageDropped after. The payload is reclaimed unless it is resent.
 func (s *sendOp) Drop() {
@@ -553,15 +414,12 @@ func (s *sendOp) Drop() {
 }
 
 // isendOpts is the send core: a dropped message is retransmitted up to
-// maxResends times, and timeout (0 = Comm default via SetDeadline)
-// bounds the whole operation.
-// With owned set, buf is a pool buffer the transport takes over instead
-// of staging a copy (see IsendReservedOwned).
+// maxResends times. With owned set, buf is a pool buffer the transport
+// takes over instead of staging a copy (see IsendReservedOwned).
 //
 //hclint:hotpath
-func (c *Comm) isendOpts(buf []byte, dest, tag int, owned bool, timeout time.Duration) *Request {
+func (c *Comm) isendOpts(buf []byte, dest, tag int, owned bool) *Request {
 	checkRank(dest, c.size)
-	exit := c.enter()
 	req := c.newRequest(reqSend)
 	src := c.rank
 	req.src, req.tag = src, tag
@@ -571,7 +429,6 @@ func (c *Comm) isendOpts(buf []byte, dest, tag int, owned bool, timeout time.Dur
 		if owned {
 			c.bufs.Put(buf)
 		}
-		exit()
 		return req
 	}
 	if c.sendHook != nil {
@@ -592,11 +449,6 @@ func (c *Comm) isendOpts(buf []byte, dest, tag int, owned bool, timeout time.Dur
 	} else {
 		c.isendSlow(req, buf, dest, tag)
 	}
-	if timeout <= 0 {
-		timeout = time.Duration(c.deadline.Load())
-	}
-	req.arm(timeout)
-	exit()
 	return req
 }
 
@@ -653,17 +505,12 @@ func (c *Comm) Irecv(buf []byte, src, tag int) *Request {
 	return c.irecv(buf, src, tag, false)
 }
 
+// irecv is the receive core: it matches the oldest queued unexpected
+// message or posts the request.
 func (c *Comm) irecv(buf []byte, src, tag int, takeAll bool) *Request {
-	return c.irecvOpts(buf, src, tag, takeAll, 0)
-}
-
-// irecvOpts is the receive core; timeout (0 = Comm default via
-// SetDeadline) withdraws an unmatched receive with ErrTimeout.
-func (c *Comm) irecvOpts(buf []byte, src, tag int, takeAll bool, timeout time.Duration) *Request {
 	if src != AnySource {
 		checkRank(src, c.size)
 	}
-	exit := c.enter()
 	req := c.newRequest(reqRecv)
 	req.src, req.tag, req.buf, req.takeAll = src, tag, buf, takeAll
 	c.ring.Emit(trace.EvRecvPost, int64(src), int64(tag))
@@ -672,7 +519,6 @@ func (c *Comm) irecvOpts(buf []byte, src, tag int, takeAll bool, timeout time.Du
 		// messages it sent before dying were already matchable by earlier
 		// receives, so fail fast instead of hanging.
 		req.complete(Status{Source: src, Tag: tag, Err: ErrRankFailed})
-		exit()
 		return req
 	}
 
@@ -683,18 +529,12 @@ func (c *Comm) irecvOpts(buf []byte, src, tag int, takeAll bool, timeout time.Du
 			m := c.unexpected[i]
 			c.unexpected = append(c.unexpected[:i], c.unexpected[i+1:]...)
 			c.mu.Unlock()
-			exit()
 			req.fill(m)
 			return req
 		}
 	}
 	c.posted = append(c.posted, req)
 	c.mu.Unlock()
-	exit()
-	if timeout <= 0 {
-		timeout = time.Duration(c.deadline.Load())
-	}
-	req.arm(timeout)
 	return req
 }
 
@@ -766,7 +606,6 @@ func (c *Comm) deliver(m inMsg) {
 		if match(req.src, req.tag, m.src, m.tag) {
 			invariant.Assert(!req.isDone(), "mpi: delivery matched a posted receive that is already complete")
 			c.posted = append(c.posted[:i], c.posted[i+1:]...)
-			c.arrived.Broadcast()
 			c.mu.Unlock()
 			req.fill(m)
 			c.announce(m.tag)
@@ -774,7 +613,6 @@ func (c *Comm) deliver(m inMsg) {
 		}
 	}
 	c.unexpected = append(c.unexpected, m)
-	c.arrived.Broadcast()
 	c.mu.Unlock()
 	c.announce(m.tag)
 }
@@ -805,8 +643,6 @@ func match(wantSrc, wantTag, src, tag int) bool {
 // arrived. It mirrors MPI_Iprobe and is what the UTS baseline's polling
 // loop uses.
 func (c *Comm) Iprobe(src, tag int) (*Status, bool) {
-	exit := c.enter()
-	defer exit()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i := range c.unexpected {
@@ -816,24 +652,6 @@ func (c *Comm) Iprobe(src, tag int) (*Status, bool) {
 		}
 	}
 	return nil, false
-}
-
-// Probe blocks until a matching message is available and returns its
-// envelope without receiving it. The library entry cost is paid up front;
-// the wait itself does not hold the entry lock (a blocked Probe must not
-// starve other threads of the endpoint).
-func (c *Comm) Probe(src, tag int) *Status {
-	c.enter()()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for {
-		for i := range c.unexpected {
-			if match(src, tag, c.unexpected[i].src, c.unexpected[i].tag) {
-				return &Status{Source: c.unexpected[i].src, Tag: c.unexpected[i].tag, Bytes: len(c.unexpected[i].payload)}
-			}
-		}
-		c.arrived.Wait()
-	}
 }
 
 // PendingUnexpected returns the number of queued unmatched messages

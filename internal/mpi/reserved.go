@@ -27,7 +27,7 @@ func (c *Comm) IsendReserved(buf []byte, dest, tag int) *Request {
 // the message, or by the send core when the request fails.
 func (c *Comm) IsendReservedOwned(buf []byte, dest, tag int) *Request {
 	checkReservedTag(tag)
-	return c.isendOpts(buf, dest, tag, true, 0)
+	return c.isendOpts(buf, dest, tag, true)
 }
 
 // SendReserved is the blocking counterpart of IsendReserved.
@@ -41,17 +41,4 @@ func (c *Comm) SendReserved(buf []byte, dest, tag int) {
 func (c *Comm) IrecvReserved(src, tag int) *Request {
 	checkReservedTag(tag)
 	return c.irecv(nil, src, tag, true)
-}
-
-// IprobeReserved is Iprobe for reserved tags.
-func (c *Comm) IprobeReserved(src, tag int) (*Status, bool) {
-	checkReservedTag(tag)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := range c.unexpected {
-		if match(src, tag, c.unexpected[i].src, c.unexpected[i].tag) {
-			return &Status{Source: c.unexpected[i].src, Tag: c.unexpected[i].tag, Bytes: len(c.unexpected[i].payload)}, true
-		}
-	}
-	return nil, false
 }

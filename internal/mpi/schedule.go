@@ -12,6 +12,15 @@ package mpi
 // the point-to-point requests it polls. Each algorithm is written once,
 // in collectives.go and rma.go.
 //
+// The paper (2013) predates MPI-3's non-blocking collectives and says
+// HCMPI "will add support ... once they become part of the MPI
+// standard"; they since have (MPI_Ibarrier, MPI_Ibcast, MPI_Iallreduce,
+// ...), and a started Schedule is exactly such a handle: there is no
+// helper goroutine, so it advances only when its owner tests or waits on
+// it. Its rounds use the same reserved tag space as the blocking
+// collectives, so blocking and non-blocking collectives mix freely as
+// long as every rank starts them in the same order.
+//
 // Sends are eager (the payload is copied at post), so a round waits only
 // for its receives; a send is recycled once it is seen complete, and one
 // still in flight when the schedule finishes is left to the transport.
@@ -34,7 +43,6 @@ const (
 	algScatter
 	algGather
 	algAllgather
-	algAlltoall
 	algFence
 	algWinCreate
 )
@@ -51,7 +59,7 @@ type Schedule struct {
 
 	// The call's arguments.
 	data  []byte   // input; the broadcast buffer for Bcast
-	parts [][]byte // Scatter and Alltoall input, one part per rank
+	parts [][]byte // Scatter input, one part per rank
 	root  int
 	dt    Datatype
 	op    Op
@@ -123,10 +131,6 @@ func (s *Schedule) Start(c *Comm) {
 		if c.rank == s.root && len(s.parts) != c.size {
 			panic("mpi: Scatter needs one part per rank")
 		}
-	case algAlltoall:
-		if len(s.parts) != c.size {
-			panic("mpi: Alltoall needs one part per rank")
-		}
 	case algWinCreate:
 		c.register(s.win)
 	}
@@ -172,7 +176,7 @@ func (s *Schedule) advance() {
 		done = s.scatter()
 	case algGather:
 		done = s.gather()
-	case algAllgather, algAlltoall:
+	case algAllgather:
 		done = s.exchange()
 	case algFence:
 		done = s.fence()

@@ -52,13 +52,14 @@ const tcpMaxBatch = 64
 // layer ever sees it.
 const tcpTagHeartbeat = TagTCPHeartbeat
 
-// distConfig collects Distributed's tunables.
+// distConfig collects Distributed's settings. Only the tracer and the
+// dial timeout have options; the rest are fixed at defaultDistConfig's
+// values.
 type distConfig struct {
 	tracer       *trace.Tracer
-	metrics      *trace.Metrics
 	dialTimeout  time.Duration // mesh bring-up bound (dial retries + accept)
-	queueCap     int           // per-peer outbound queue, in frames
-	hbInterval   time.Duration // keepalive period; 0 disables heartbeats
+	queueCap     int           // per-peer outbound queue, in frames; a full queue blocks the sender
+	hbInterval   time.Duration // keepalive period on idle links; 0 disables heartbeats
 	hbTimeout    time.Duration // silence after which a peer is declared failed
 	drainTimeout time.Duration // graceful-drain bound in Close
 }
@@ -80,40 +81,9 @@ type DistOption func(*distConfig)
 // posts and matches appear on the rank's MPI track).
 func WithMeshTracer(t *trace.Tracer) DistOption { return func(c *distConfig) { c.tracer = t } }
 
-// WithMeshMetrics registers the mesh's comm_tcp_* counters (frames and
-// bytes in each direction, flush batches, queue high-water, bring-up
-// redials, peer failures) on m instead of a private registry.
-func WithMeshMetrics(m *trace.Metrics) DistOption { return func(c *distConfig) { c.metrics = m } }
-
 // WithDialTimeout bounds mesh bring-up: the accept window for lower
 // ranks and the dial-with-backoff window for higher ones.
 func WithDialTimeout(d time.Duration) DistOption { return func(c *distConfig) { c.dialTimeout = d } }
-
-// WithQueueCap sets the per-peer outbound queue capacity in frames;
-// enqueueing against a full queue blocks (backpressure) until the writer
-// drains it or the peer fails.
-func WithQueueCap(n int) DistOption {
-	return func(c *distConfig) {
-		if n > 0 {
-			c.queueCap = n
-		}
-	}
-}
-
-// WithHeartbeat tunes the failure detector: every interval each rank
-// sends keepalive frames on idle links, and a peer silent for longer
-// than timeout is declared failed (ErrRankFailed on everything pending
-// against it). interval 0 disables both directions of the detector;
-// connection errors still fail the peer.
-func WithHeartbeat(interval, timeout time.Duration) DistOption {
-	return func(c *distConfig) { c.hbInterval, c.hbTimeout = interval, timeout }
-}
-
-// WithDrainTimeout bounds Close's graceful drain of the outbound queues
-// before connections are force-closed.
-func WithDrainTimeout(d time.Duration) DistOption {
-	return func(c *distConfig) { c.drainTimeout = d }
-}
 
 // outFrame is one queued outbound message: a pooled staging payload plus
 // the request to complete once the frame is handed to the OS. Heartbeat
@@ -180,14 +150,11 @@ func Distributed(rank int, addrs []string, opts ...DistOption) (*Comm, io.Closer
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.metrics == nil {
-		cfg.metrics = trace.NewMetrics()
-	}
 
 	m := &tcpMesh{
 		rank: rank, size: size, cfg: cfg,
 		bufs:    bufpool.New(),
-		metrics: cfg.metrics,
+		metrics: trace.NewMetrics(),
 		peers:   make([]*tcpPeer, size),
 		closing: make(chan struct{}),
 	}
@@ -208,7 +175,6 @@ func Distributed(rank int, addrs []string, opts ...DistOption) (*Comm, io.Closer
 	}
 
 	c := &Comm{rank: rank, size: size, node: rank}
-	c.arrived = sync.NewCond(&c.mu)
 	c.metrics = m.metrics
 	c.reqHit = m.metrics.Counter("mpi_req_pool_hit")
 	c.reqMiss = m.metrics.Counter("mpi_req_pool_miss")

@@ -15,7 +15,7 @@ import (
 func tcpAllocMesh(t *testing.T, n int) []*Comm {
 	t.Helper()
 	comms, closers := bringUp(t, n, func(int) []DistOption {
-		return []DistOption{WithHeartbeat(0, 0)}
+		return []DistOption{func(c *distConfig) { c.hbInterval = 0 }}
 	})
 	t.Cleanup(func() {
 		for _, cl := range closers {

@@ -231,9 +231,9 @@ func TestTCPPeerFailure(t *testing.T) {
 func TestTCPHeartbeatDetectsSilentPeer(t *testing.T) {
 	comms, closers := bringUp(t, 2, func(rank int) []DistOption {
 		if rank == 0 {
-			return []DistOption{WithHeartbeat(20*time.Millisecond, 200*time.Millisecond)}
+			return []DistOption{func(c *distConfig) { c.hbInterval, c.hbTimeout = 20*time.Millisecond, 200*time.Millisecond }}
 		}
-		return []DistOption{WithHeartbeat(0, 0)} // mute rank 1
+		return []DistOption{func(c *distConfig) { c.hbInterval = 0 }} // mute rank 1
 	})
 	defer closers[0].Close()
 	defer closers[1].Close()
@@ -257,7 +257,7 @@ func TestTCPHeartbeatDetectsSilentPeer(t *testing.T) {
 func TestTCPQueueBackpressure(t *testing.T) {
 	const msgs = 200
 	comms, closers := bringUp(t, 2, func(int) []DistOption {
-		return []DistOption{WithQueueCap(1)}
+		return []DistOption{func(c *distConfig) { c.queueCap = 1 }}
 	})
 	var wg sync.WaitGroup
 	wg.Add(1)
