@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 tier1-debug verify test chaos soak soak-msgflood lint vet trace-demo bench bench-smoke conformance smoke-distributed
+.PHONY: tier1 tier1-debug verify test chaos soak soak-msgflood lint vet trace-demo bench-smoke conformance smoke-distributed
 
 # Fast correctness gate: what the seed repo guarantees.
 tier1:
@@ -105,17 +105,6 @@ lint:
 
 vet:
 	$(GO) vet ./...
-
-# Microbenchmarks with allocation stats. Saves a JSON snapshot and, if a
-# committed baseline exists, prints the per-benchmark delta. Narrow the
-# run with BENCH='AsyncFinish|CommTask'.
-BENCH ?= .
-bench:
-	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -count=1 . | tee /tmp/hcmpi-bench.txt
-	$(GO) run ./scripts/benchdiff save BENCH_latest.json /tmp/hcmpi-bench.txt
-	@if [ -f BENCH_baseline.json ]; then \
-		$(GO) run ./scripts/benchdiff diff BENCH_baseline.json BENCH_latest.json; \
-	fi
 
 # CI smoke: every benchmark at a fixed tiny iteration count. Catches
 # benchmarks that panic or deadlock without asserting on timing (shared

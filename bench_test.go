@@ -1,15 +1,12 @@
-// Benchmarks in two layers, mirroring the paper's evaluation:
-//
-//   - Library micro-benchmarks against the real runtime: task spawn and
-//     join, DDF put/get and await lists, phaser phases, accumulator
-//     reductions, communication-task round trips, DDDF fetches.
-//
-//   - One benchmark per paper table/figure, driving the discrete-event
-//     models that regenerate the corresponding experiment (bandwidth,
-//     message rate, latency, syncbench grid, UTS scaling/speedups and
-//     profile, Smith-Waterman scaling and comparison). These report the
-//     experiment's headline quantity as a custom metric so `go test
-//     -bench` output doubles as a results table.
+// Benchmarks of the real runtime: task spawn and join, DDF put/get and
+// await lists, phaser phases, accumulator reductions, the HCMPI
+// Send/Recv round trip and barrier, DDDF fetches, the distributed
+// scheduler, end-to-end UTS and Smith-Waterman jobs, and the bare mpi
+// and TCP message paths. `make bench-smoke` runs each at a fixed small
+// iteration count. They are not the timing record: hcbench (`go run
+// ./benchmark`) times the runtime end to end, the AllocsPerRun tests
+// pin the hot paths' allocations, and the paper's figures are
+// regenerated by `go run ./cmd/experiments`.
 package hcmpi_test
 
 import (
@@ -24,12 +21,9 @@ import (
 	"hcmpi/internal/hc"
 	hcmpinode "hcmpi/internal/hcmpi"
 	"hcmpi/internal/mpi"
-	"hcmpi/internal/sim/model"
 	"hcmpi/internal/sw"
 	"hcmpi/internal/uts"
 )
-
-// --- real-runtime micro-benchmarks ---
 
 func BenchmarkAsyncFinish(b *testing.B) {
 	rt := hc.New(2)
@@ -116,25 +110,6 @@ func BenchmarkAccumulatorNext(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			reg.AccumNext(int64(1))
-		}
-	})
-}
-
-func BenchmarkCommTaskRoundTrip(b *testing.B) {
-	// One Isend+Recv ping through the communication workers of two ranks.
-	hcmpi.Run(2, 1, func(n *hcmpi.Node, ctx *hcmpi.Ctx) {
-		buf := make([]byte, 8)
-		if n.Rank() == 0 {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				n.Send(ctx, buf, 1, 0)
-				n.Recv(ctx, buf, 1, 1)
-			}
-		} else {
-			for i := 0; i < b.N; i++ {
-				n.Recv(ctx, buf, 0, 0)
-				n.Send(ctx, buf, 0, 1)
-			}
 		}
 	})
 }
@@ -257,200 +232,6 @@ func BenchmarkDDDFFetchBurst(b *testing.B) {
 		frames[1] = sent.Load()
 	})
 	b.ReportMetric(float64(frames[0]+frames[1])/float64(b.N), "frames/op")
-}
-
-// --- per-table / per-figure experiment benchmarks (simulator) ---
-
-// BenchmarkFig14Bandwidth reports the modelled 8-thread bandwidth gap.
-func BenchmarkFig14Bandwidth(b *testing.B) {
-	cm := model.DefaultCosts()
-	var m, h float64
-	for i := 0; i < b.N; i++ {
-		m = model.ThreadBenchMPI(8, cm).BandwidthGbps
-		h = model.ThreadBenchHCMPI(8, cm).BandwidthGbps
-	}
-	b.ReportMetric(m, "MPI-Gbps")
-	b.ReportMetric(h, "HCMPI-Gbps")
-}
-
-// BenchmarkFig14MessageRate reports the 8-thread message-rate crossover.
-func BenchmarkFig14MessageRate(b *testing.B) {
-	cm := model.DefaultCosts()
-	var m, h float64
-	for i := 0; i < b.N; i++ {
-		m = model.ThreadBenchMPI(8, cm).MsgRateM
-		h = model.ThreadBenchHCMPI(8, cm).MsgRateM
-	}
-	b.ReportMetric(m, "MPI-Mmsgs/s")
-	b.ReportMetric(h, "HCMPI-Mmsgs/s")
-}
-
-// BenchmarkFig14Latency reports 1024-byte latencies at 8 threads.
-func BenchmarkFig14Latency(b *testing.B) {
-	cm := model.DefaultCosts()
-	var m, h float64
-	for i := 0; i < b.N; i++ {
-		m = model.ThreadBenchMPI(8, cm).LatencyUS[1024]
-		h = model.ThreadBenchHCMPI(8, cm).LatencyUS[1024]
-	}
-	b.ReportMetric(m, "MPI-µs")
-	b.ReportMetric(h, "HCMPI-µs")
-}
-
-// BenchmarkFig15MessageRate is Fig 14's rate test on the Gemini preset.
-func BenchmarkFig15MessageRate(b *testing.B) {
-	cm := model.GeminiCosts()
-	var m, h float64
-	for i := 0; i < b.N; i++ {
-		m = model.ThreadBenchMPI(8, cm).MsgRateM
-		h = model.ThreadBenchHCMPI(8, cm).MsgRateM
-	}
-	b.ReportMetric(m, "MPI-Mmsgs/s")
-	b.ReportMetric(h, "HCMPI-Mmsgs/s")
-}
-
-// BenchmarkTable2Barrier reports the 16-node/8-core barrier costs.
-func BenchmarkTable2Barrier(b *testing.B) {
-	cm := model.DefaultCosts()
-	var mpiUS, hcS, hcF float64
-	for i := 0; i < b.N; i++ {
-		mpiUS = model.SyncBench(model.SyncMPI, model.Barrier, 16, 8, cm)
-		hcS = model.SyncBench(model.SyncHCMPIStrict, model.Barrier, 16, 8, cm)
-		hcF = model.SyncBench(model.SyncHCMPIFuzzy, model.Barrier, 16, 8, cm)
-	}
-	b.ReportMetric(mpiUS, "MPI-µs")
-	b.ReportMetric(hcS, "strict-µs")
-	b.ReportMetric(hcF, "fuzzy-µs")
-}
-
-// BenchmarkTable2Reduction reports the 16-node/8-core reduction costs.
-func BenchmarkTable2Reduction(b *testing.B) {
-	cm := model.DefaultCosts()
-	var mpiUS, acc float64
-	for i := 0; i < b.N; i++ {
-		mpiUS = model.SyncBench(model.SyncMPI, model.Reduction, 16, 8, cm)
-		acc = model.SyncBench(model.SyncHCMPIFuzzy, model.Reduction, 16, 8, cm)
-	}
-	b.ReportMetric(mpiUS, "MPI-µs")
-	b.ReportMetric(acc, "accum-µs")
-}
-
-func utsBenchParams() model.UTSParams { return model.DefaultUTSParams(uts.T1Med) }
-
-// BenchmarkFig16UTSMPI reports UTS/MPI makespan at 8 nodes × 8 cores.
-func BenchmarkFig16UTSMPI(b *testing.B) {
-	up := utsBenchParams()
-	var s time.Duration
-	for i := 0; i < b.N; i++ {
-		s = model.UTSRunMPI(8, 8, up).Makespan
-	}
-	b.ReportMetric(s.Seconds(), "sim-s")
-}
-
-// BenchmarkFig17UTSMPIT3 is Fig 16's T3 sibling.
-func BenchmarkFig17UTSMPIT3(b *testing.B) {
-	up := model.DefaultUTSParams(uts.T3Mid)
-	var s time.Duration
-	for i := 0; i < b.N; i++ {
-		s = model.UTSRunMPI(8, 8, up).Makespan
-	}
-	b.ReportMetric(s.Seconds(), "sim-s")
-}
-
-// BenchmarkFig18UTSHCMPI reports UTS/HCMPI makespan at 8 nodes × 8 cores.
-func BenchmarkFig18UTSHCMPI(b *testing.B) {
-	up := utsBenchParams()
-	var s time.Duration
-	for i := 0; i < b.N; i++ {
-		s = model.UTSRunHCMPI(8, 8, up).Makespan
-	}
-	b.ReportMetric(s.Seconds(), "sim-s")
-}
-
-// BenchmarkFig19UTSHCMPIT3 is Fig 18's T3 sibling.
-func BenchmarkFig19UTSHCMPIT3(b *testing.B) {
-	up := model.DefaultUTSParams(uts.T3Mid)
-	var s time.Duration
-	for i := 0; i < b.N; i++ {
-		s = model.UTSRunHCMPI(8, 8, up).Makespan
-	}
-	b.ReportMetric(s.Seconds(), "sim-s")
-}
-
-// BenchmarkFig20Speedup reports the T1 HCMPI-over-MPI speedup in the
-// starved regime (16 nodes × 16 cores).
-func BenchmarkFig20Speedup(b *testing.B) {
-	up := utsBenchParams()
-	var sp float64
-	for i := 0; i < b.N; i++ {
-		m := model.UTSRunMPI(16, 16, up)
-		h := model.UTSRunHCMPI(16, 16, up)
-		sp = float64(m.Makespan) / float64(h.Makespan)
-	}
-	b.ReportMetric(sp, "speedup")
-}
-
-// BenchmarkFig21SpeedupT3 is Fig 20's T3 sibling (8×8: the mid-grid
-// point of the figure, where the measured speedup is ~1.9).
-func BenchmarkFig21SpeedupT3(b *testing.B) {
-	up := model.DefaultUTSParams(uts.T3Mid)
-	var sp float64
-	for i := 0; i < b.N; i++ {
-		m := model.UTSRunMPI(8, 8, up)
-		h := model.UTSRunHCMPI(8, 8, up)
-		sp = float64(m.Makespan) / float64(h.Makespan)
-	}
-	b.ReportMetric(sp, "speedup")
-}
-
-// BenchmarkTable3Profile reports the failed-steal gap at 16×16.
-func BenchmarkTable3Profile(b *testing.B) {
-	up := utsBenchParams()
-	var mf, hf float64
-	for i := 0; i < b.N; i++ {
-		mf = float64(model.UTSRunMPI(16, 16, up).Fails)
-		hf = float64(model.UTSRunHCMPI(16, 16, up).Fails)
-	}
-	b.ReportMetric(mf, "MPI-fails")
-	b.ReportMetric(hf, "HCMPI-fails")
-}
-
-// BenchmarkFig22HybridSpeedup reports HCMPI over the hybrid at 16×16.
-func BenchmarkFig22HybridSpeedup(b *testing.B) {
-	up := utsBenchParams()
-	var sp float64
-	for i := 0; i < b.N; i++ {
-		y := model.UTSRunHybrid(16, 16, up)
-		h := model.UTSRunHCMPI(16, 16, up)
-		sp = float64(y.Makespan) / float64(h.Makespan)
-	}
-	b.ReportMetric(sp, "speedup")
-}
-
-// BenchmarkTable4SW reports the Smith-Waterman DDDF makespan at the
-// paper's 8-node/12-core corner (paper: 192.3s).
-func BenchmarkTable4SW(b *testing.B) {
-	sp := model.DefaultSWParams()
-	var s time.Duration
-	for i := 0; i < b.N; i++ {
-		s = model.SWRunDDDF(8, 12, sp)
-	}
-	b.ReportMetric(s.Seconds(), "sim-s")
-}
-
-// BenchmarkFig25SWSpeedup reports hybrid-time/DDDF-time at 4 nodes × 12
-// cores (paper: 1.60).
-func BenchmarkFig25SWSpeedup(b *testing.B) {
-	spD := model.Fig25SWParams()
-	spH := spD
-	spH.Cfg.OuterH, spH.Cfg.OuterW = 5800, 6000
-	var sp float64
-	for i := 0; i < b.N; i++ {
-		d := model.SWRunDDDF(4, 12, spD)
-		h := model.SWRunHybrid(4, 12, spH)
-		sp = float64(h) / float64(d)
-	}
-	b.ReportMetric(sp, "speedup")
 }
 
 // BenchmarkRealUTSHCMPI runs the real (non-simulated) runtime end to end

@@ -1,30 +1,56 @@
 package mpi
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestPooledP2PAllocFree pins the pooled Isend/Irecv fast path at zero
 // allocations per round trip once the request, send-op, and payload
 // pools are warm: the tentpole contract that a steady-state message
-// stream produces no garbage.
+// stream produces no garbage. It holds in both orders: a receive posted
+// before its message arrives, and a message that arrives first and
+// waits in the unexpected queue, whose backing array must survive the
+// queue emptying.
 func TestPooledP2PAllocFree(t *testing.T) {
 	w := NewWorld(2)
 	defer w.Close()
 	c0, c1 := w.Comm(0), w.Comm(1)
 	src := make([]byte, 64)
 	dst := make([]byte, 64)
-	roundTrip := func() {
-		r := c1.Irecv(dst, 0, 7)
-		s := c0.Isend(src, 1, 7)
-		r.WaitStatus()
-		s.WaitStatus()
-		r.Free()
-		s.Free()
+	cases := []struct {
+		name      string
+		roundTrip func()
+	}{
+		{"posted-first", func() {
+			r := c1.Irecv(dst, 0, 7)
+			s := c0.Isend(src, 1, 7)
+			r.WaitStatus()
+			s.WaitStatus()
+			r.Free()
+			s.Free()
+		}},
+		{"unexpected-first", func() {
+			s := c0.Isend(src, 1, 7)
+			for c1.PendingUnexpected() == 0 {
+				runtime.Gosched()
+			}
+			r := c1.Irecv(dst, 0, 7)
+			r.WaitStatus()
+			s.WaitStatus()
+			r.Free()
+			s.Free()
+		}},
 	}
-	for i := 0; i < 300; i++ {
-		roundTrip()
-	}
-	if avg := testing.AllocsPerRun(500, roundTrip); avg != 0 {
-		t.Errorf("pooled Isend/Irecv round trip allocated %.2f per run, want 0", avg)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for i := 0; i < 300; i++ {
+				tc.roundTrip()
+			}
+			if avg := testing.AllocsPerRun(500, tc.roundTrip); avg != 0 {
+				t.Errorf("pooled Isend/Irecv round trip allocated %.2f per run, want 0", avg)
+			}
+		})
 	}
 }
 

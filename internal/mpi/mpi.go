@@ -159,7 +159,7 @@ type Comm struct {
 	// matching state, guarded by mu.
 	mu         sync.Mutex
 	posted     []*Request // pending receive requests, post order
-	unexpected []inMsg    // unmatched arrived messages, arrival order
+	unexpected msgQueue   // unmatched arrived messages, arrival order
 
 	// collSeq numbers collective operations so that successive
 	// collectives never cross-match; all ranks call collectives in the
@@ -230,6 +230,43 @@ type inMsg struct {
 	// pooled marks payloads staged from the transport's buffer pool;
 	// the receive path recycles them after copying.
 	pooled bool
+}
+
+// msgQueue is the unexpected-message queue, in arrival order. The live
+// messages are msgs[head:]. Taking a message moves only the older ones
+// before it up one slot and advances head, so taking the oldest moves
+// nothing; head returns to 0 when the queue empties, so the backing
+// array is reused and a queue that swings between empty and shallow
+// allocates nothing.
+type msgQueue struct {
+	msgs []inMsg
+	head int
+}
+
+// live returns the queued messages, oldest first.
+func (q *msgQueue) live() []inMsg { return q.msgs[q.head:] }
+
+// push appends m. A full array whose dead prefix is at least as long as
+// its live part is compacted in place instead of grown, so the cost of
+// compaction is paid for by the takes that advanced head.
+func (q *msgQueue) push(m inMsg) {
+	if n := len(q.msgs) - q.head; q.head > 0 && q.head >= n && len(q.msgs) == cap(q.msgs) {
+		copy(q.msgs, q.msgs[q.head:])
+		clear(q.msgs[n:])
+		q.msgs, q.head = q.msgs[:n], 0
+	}
+	q.msgs = append(q.msgs, m)
+}
+
+// take removes live()[i], keeping the others in order.
+func (q *msgQueue) take(i int) {
+	at := q.head + i
+	copy(q.msgs[q.head+1:at+1], q.msgs[q.head:at])
+	q.msgs[q.head] = inMsg{}
+	q.head++
+	if q.head == len(q.msgs) {
+		q.msgs, q.head = q.msgs[:0], 0
+	}
 }
 
 func newComm(w *World, rank int) *Comm {

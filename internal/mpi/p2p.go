@@ -524,10 +524,9 @@ func (c *Comm) irecv(buf []byte, src, tag int, takeAll bool) *Request {
 
 	c.mu.Lock()
 	// First scan the unexpected queue in arrival order (non-overtaking).
-	for i := range c.unexpected {
-		if match(src, tag, c.unexpected[i].src, c.unexpected[i].tag) {
-			m := c.unexpected[i]
-			c.unexpected = append(c.unexpected[:i], c.unexpected[i+1:]...)
+	for i, m := range c.unexpected.live() {
+		if match(src, tag, m.src, m.tag) {
+			c.unexpected.take(i)
 			c.mu.Unlock()
 			req.fill(m)
 			return req
@@ -612,7 +611,7 @@ func (c *Comm) deliver(m inMsg) {
 			return
 		}
 	}
-	c.unexpected = append(c.unexpected, m)
+	c.unexpected.push(m)
 	c.mu.Unlock()
 	c.announce(m.tag)
 }
@@ -645,10 +644,9 @@ func match(wantSrc, wantTag, src, tag int) bool {
 func (c *Comm) Iprobe(src, tag int) (*Status, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i := range c.unexpected {
-		if match(src, tag, c.unexpected[i].src, c.unexpected[i].tag) {
-			st := &Status{Source: c.unexpected[i].src, Tag: c.unexpected[i].tag, Bytes: len(c.unexpected[i].payload)}
-			return st, true
+	for _, m := range c.unexpected.live() {
+		if match(src, tag, m.src, m.tag) {
+			return &Status{Source: m.src, Tag: m.tag, Bytes: len(m.payload)}, true
 		}
 	}
 	return nil, false
@@ -659,5 +657,5 @@ func (c *Comm) Iprobe(src, tag int) (*Status, bool) {
 func (c *Comm) PendingUnexpected() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.unexpected)
+	return len(c.unexpected.live())
 }

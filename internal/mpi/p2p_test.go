@@ -477,3 +477,46 @@ func TestCountOfZeroSizeDatatype(t *testing.T) {
 		t.Fatal("min wrong")
 	}
 }
+
+// TestMsgQueueKeepsArrivalOrder drives the unexpected queue's take and
+// push against a plain slice: takes from the head, the middle and the
+// tail, interleaved with pushes that wrap the backing array through
+// compaction and growth, must leave the same messages in the same order.
+func TestMsgQueueKeepsArrivalOrder(t *testing.T) {
+	var q msgQueue
+	var ref []int
+	next := 0
+	check := func(step int) {
+		t.Helper()
+		live := q.live()
+		if len(live) != len(ref) {
+			t.Fatalf("step %d: %d queued, want %d", step, len(live), len(ref))
+		}
+		for i, m := range live {
+			if m.tag != ref[i] {
+				t.Fatalf("step %d: slot %d holds %d, want %d", step, i, m.tag, ref[i])
+			}
+		}
+	}
+	for step := 0; step < 2000; step++ {
+		// Bursts of pushes, then takes at a position that cycles through
+		// head, middle and tail.
+		if step%7 < 4 {
+			q.push(inMsg{tag: next})
+			ref = append(ref, next)
+			next++
+		} else if len(ref) > 0 {
+			i := [3]int{0, len(ref) / 2, len(ref) - 1}[step%3]
+			q.take(i)
+			ref = append(ref[:i], ref[i+1:]...)
+		}
+		check(step)
+	}
+	for len(ref) > 0 {
+		q.take(0)
+		ref = ref[1:]
+	}
+	if q.head != 0 || len(q.msgs) != 0 || cap(q.msgs) == 0 {
+		t.Fatalf("drained queue: head %d len %d cap %d, want 0, 0 and the kept array", q.head, len(q.msgs), cap(q.msgs))
+	}
+}
